@@ -416,7 +416,8 @@ type StatsResponse struct {
 	LargestComponent  int     `json:"largest_component"`
 	LastSpeedup       float64 `json:"last_speedup"`
 	// Incremental-solve telemetry: components reused vs. re-solved by the
-	// most recent solve, and lifetime fingerprint-cache accounting.
+	// most recent solve, and lifetime cache accounting (hits are
+	// Enhanced-AMF weight-sum memo recalls, misses re-solved components).
 	LastReused          int   `json:"last_reused"`
 	LastResolved        int   `json:"last_resolved"`
 	CacheHits           int64 `json:"cache_hits"`

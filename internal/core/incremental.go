@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -12,7 +10,7 @@ import (
 )
 
 // Incremental solving: re-solve only the connected components a mutation
-// batch actually touched, splicing cached results for the rest.
+// batch actually touched, splicing carried results for the rest.
 //
 // The component decomposition (partition.go) makes each connected component
 // of the job×site demand graph an independent sub-problem, but a plain
@@ -29,51 +27,56 @@ import (
 //     proportional to the components involved, not the instance.
 //
 //   - Per-component results. An untouched component's share rows are
-//     spliced from its previous solve without any hashing. A touched
-//     component is fingerprinted (job names, weights, demand/work rows,
-//     site capacities, and Enhanced-AMF floors) and looked up in a result
-//     cache before solving, so content that round-trips — a weight toggled
-//     back, a component re-split into a previously seen shape — costs a
-//     hash instead of a solve. Hash hits are verified byte-for-byte
-//     against the stored key, so a collision can never splice wrong rows.
+//     spliced from its previous solve. A touched component is always a
+//     new incComp — repartition replaces every component whose membership
+//     or content changed — so it is solved; nothing else can be reused
+//     for it.
 //
-//   - The Enhanced-AMF invalidation rule. Floors (EqualShares) depend on
-//     the GLOBAL weight sum, so any job-set or weight change moves every
-//     job's floor and invalidates all components, even untouched ones.
-//     The solver recomputes floors against the full instance every solve
-//     and, when the weight sum changed, routes every component through the
-//     fingerprint path; components whose floors happen to be bit-identical
-//     (all clamped at demand) still hit the cache — the fingerprint, which
-//     embeds the floors, is the precise invalidation test.
+//   - The Enhanced-AMF weight-sum memo. Floors (EqualShares) depend only
+//     on a job's own row, the site capacities and the GLOBAL weight sum W,
+//     so a W change moves every job's floor and invalidates all
+//     components, even untouched ones. Each component therefore keeps its
+//     results keyed by Float64bits(W): an untouched component under a W
+//     change recalls the result it had when W last took that exact value
+//     (the return leg of a transient job admitted then removed) and is
+//     solved otherwise. Entries unused for memoAge solves expire, and the
+//     memo dies with its component, so it needs no other invalidation.
+//
+// Every reuse decision is an exact comparison. The solver copies the site
+// capacities and the Solver's approximate-path knobs whenever it starts
+// fresh, and any difference on a later call drops all carried state.
 //
 // Share rows handed out by Solve are immutable and shared: the same row
-// backs the result cache, subsequent allocations, and anything the caller
+// backs the weight-sum memo, subsequent allocations, and anything the caller
 // published. Callers must treat Allocation.Share as read-only.
 
 // IncrementalStats describes how the most recent IncrementalSolver.Solve
-// executed, plus cumulative cache accounting across the solver's lifetime.
+// executed, plus cumulative reuse accounting across the solver's lifetime.
 type IncrementalStats struct {
 	// Components is the number of live connected components after the
 	// solve; LargestComponent is the job count of the biggest one.
 	Components       int
 	LargestComponent int
 	// Reused counts untouched components spliced from their previous
-	// result without hashing; CacheHits counts touched components whose
-	// fingerprint hit the result cache; Solved counts components actually
-	// re-solved. Reused + CacheHits + Solved == Components.
+	// result; CacheHits counts untouched components recalled from their
+	// Enhanced-AMF weight-sum memo after a weight-sum change (always zero
+	// under plain AMF); Solved counts components actually re-solved.
+	// Reused + CacheHits + Solved == Components.
 	Reused    int
 	CacheHits int
 	Solved    int
 	// SequentialTime sums the per-component solve wall times; WallTime is
-	// the wall-clock time of the whole Solve call (partition maintenance,
-	// fingerprinting, cache splicing included). Speedup is their ratio
+	// the wall-clock time of the whole Solve call (partition maintenance
+	// and result splicing included). Speedup is their ratio
 	// (zero when nothing was solved).
 	SequentialTime time.Duration
 	WallTime       time.Duration
 	Speedup        float64
-	// TotalCacheHits/TotalCacheMisses accumulate fingerprint-cache lookups
-	// over the solver's lifetime; GlobalInvalidations counts Enhanced-AMF
-	// floor invalidations (weight-sum changes).
+	// TotalCacheHits accumulates CacheHits and TotalCacheMisses
+	// accumulates Solved over the solver's lifetime, so hits/(hits+misses)
+	// is the share of non-spliced components the memo recalled.
+	// GlobalInvalidations counts Enhanced-AMF floor invalidations
+	// (weight-sum changes).
 	TotalCacheHits      int64
 	TotalCacheMisses    int64
 	GlobalInvalidations int64
@@ -96,23 +99,24 @@ type IncrementalSolver struct {
 	Solver *Solver
 	// Enhanced applies the sharing-incentive floors (EnhancedAMF).
 	Enhanced bool
-	// CacheAge is how many solves an unused cache entry survives before
-	// eviction (default 8).
-	CacheAge uint64
 
-	m        int
 	gen      uint64
 	jobs     map[string]*incComp // job name -> component (nil: zero demand)
 	comps    map[int]*incComp
 	nextID   int
 	siteComp []int // site -> owning component id, -1 unowned
-	cache    map[uint64][]*compResult
-	capBits  uint64
-	prevWSum float64
-	haveWSum bool
-	stats    IncrementalStats
-	keyBuf   []byte
+	// caps and approxEps/approxThr are the site capacities and Solver
+	// knobs the carried state was solved under.
+	caps      []float64
+	approxEps float64
+	approxThr int
+	prevW     uint64 // Float64bits of the previous Enhanced-AMF weight sum
+	havePrevW bool
+	stats     IncrementalStats
 }
+
+// memoAge is how many solves an unused weight-sum memo entry survives.
+const memoAge = 8
 
 // incComp is one live connected component carried across solves.
 type incComp struct {
@@ -129,9 +133,10 @@ type incComp struct {
 	solveGen  uint64
 	lastSolve time.Duration
 
-	result   *compResult
-	pendHash uint64
-	pendKey  []byte
+	result *compResult
+	// memo holds this component's Enhanced-AMF results by Float64bits of
+	// the weight sum they were solved under (nil under plain AMF).
+	memo map[uint64]*compResult
 }
 
 // CompStat is the per-component telemetry row VisitComponents reports
@@ -164,35 +169,24 @@ func (x *IncrementalSolver) VisitComponents(fn func(CompStat)) {
 	}
 }
 
-// compResult is one cached component solution: the fingerprint it was
-// solved under and an immutable full-width share row per member job.
+// compResult is one component solution: an immutable full-width share row
+// per member job, and the generation that last used it (memo expiry).
 type compResult struct {
-	hash     uint64
-	key      []byte
 	shares   map[string][]float64
 	lastUsed uint64
 }
 
-// Reset drops all carried state (partition, results, cache); the next
+// Reset drops all carried state (partition, results, memos); the next
 // Solve runs from scratch. Cumulative counters are kept.
 func (x *IncrementalSolver) Reset() {
-	x.m = 0
 	x.jobs = nil
 	x.comps = nil
 	x.siteComp = nil
-	x.cache = nil
-	x.haveWSum = false
+	x.havePrevW = false
 }
 
 // LastStats reports the record of the most recent Solve.
 func (x *IncrementalSolver) LastStats() IncrementalStats { return x.stats }
-
-func (x *IncrementalSolver) cacheAge() uint64 {
-	if x.CacheAge > 0 {
-		return x.CacheAge
-	}
-	return 8
-}
 
 // Solve computes the allocation for in, reusing every component result the
 // mutations since the previous Solve cannot have invalidated.
@@ -201,13 +195,14 @@ func (x *IncrementalSolver) cacheAge() uint64 {
 // are how jobs are identified across revisions. dirty must contain the
 // name of every job whose weight, demand or work changed since the
 // previous Solve (added jobs may appear but are detected regardless, as
-// are removals, via the job-set diff). Site count and capacities are
-// expected to be stable across calls; if they change, all carried state is
-// dropped and the solve runs from scratch.
+// are removals, via the job-set diff). Site count, capacities and the
+// Solver's approximate-path knobs are expected to be stable across calls;
+// if any of them changes, all carried state is dropped and the solve runs
+// from scratch.
 //
 // The returned allocation's share rows are immutable views shared with the
-// solver's cache and with previous/future results: callers must not
-// mutate them.
+// solver's carried state and with previous/future results: callers must
+// not mutate them.
 func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocation, error) {
 	start := time.Now()
 	n, m := in.NumJobs(), in.NumSites()
@@ -220,8 +215,8 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 		x.Solver = sv
 	}
 
-	capBits := hashFloats(in.SiteCapacity)
-	fresh := x.jobs == nil || x.m != m || x.capBits != capBits
+	fresh := x.jobs == nil || !sameBits(x.caps, in.SiteCapacity) ||
+		math.Float64bits(x.approxEps) != math.Float64bits(sv.ApproxEpsilon) || x.approxThr != sv.ApproxThreshold
 	// Validation is itself incremental: a full O(n·m) Instance.Validate
 	// only when carried state resets; afterwards, cheap shape checks here
 	// plus a float scan of just the dirty rows (validateJobData below) —
@@ -251,17 +246,15 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 	}
 	sv.stage(StageValidate, time.Since(tValidate), false)
 	if fresh {
-		x.m, x.capBits = m, capBits
+		x.caps = append(x.caps[:0], in.SiteCapacity...)
+		x.approxEps, x.approxThr = sv.ApproxEpsilon, sv.ApproxThreshold
 		x.jobs = make(map[string]*incComp, n)
 		x.comps = map[int]*incComp{}
 		x.siteComp = make([]int, m)
 		for s := range x.siteComp {
 			x.siteComp[s] = -1
 		}
-		if x.cache == nil {
-			x.cache = map[uint64][]*compResult{}
-		}
-		x.haveWSum = false
+		x.havePrevW = false
 	}
 	x.gen++
 	tPartition := time.Now()
@@ -279,9 +272,10 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 
 	// Enhanced-AMF floors are computed against the FULL instance
 	// (EqualShares depends on the global weight sum) and sliced per
-	// component. A weight-sum change moves every floor: all components
-	// must re-validate through the fingerprint path.
+	// component. A weight-sum change moves every floor: no component may
+	// splice its current result, only one memoized under this exact sum.
 	var floors []float64
+	var wbits uint64
 	globalInval := false
 	if x.Enhanced {
 		wsum := in.ExternalWeight
@@ -289,11 +283,12 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 			wsum += in.JobWeight(j)
 		}
 		floors = EqualShares(in)
-		if x.haveWSum && math.Float64bits(wsum) != math.Float64bits(x.prevWSum) {
+		wbits = math.Float64bits(wsum)
+		if x.havePrevW && wbits != x.prevW {
 			globalInval = true
 			x.stats.GlobalInvalidations++
 		}
-		x.prevWSum, x.haveWSum = wsum, true
+		x.prevW, x.havePrevW = wbits, true
 	}
 
 	// Diff the job set against the previous revision and close over the
@@ -335,9 +330,10 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 		x.repartition(in, idx, affected, dirtyIdx)
 	}
 
-	// Classify components: carried results splice directly; touched (or
-	// globally invalidated) ones consult the fingerprint cache; misses are
-	// solved as independent sub-instances on the worker pool.
+	// Classify components: carried results splice directly; untouched ones
+	// under a weight-sum change consult their memo; the rest are solved as
+	// independent sub-instances on the worker pool. A component is dirty
+	// exactly while it has no result.
 	ids := make([]int, 0, len(x.comps))
 	for id := range x.comps {
 		ids = append(ids, id)
@@ -353,22 +349,16 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 		}
 		if c.dirty {
 			// Mutation-dirty this generation (repartitioned or content
-			// changed) — distinct from globalInval, which routes untouched
-			// components through the fingerprint without a mutation hit.
+			// changed) — distinct from globalInval, which invalidates
+			// untouched components without a mutation hit.
 			c.mutGen = x.gen
-		}
-		if !c.dirty && !globalInval && c.result != nil {
+		} else if !globalInval {
 			c.result.lastUsed = x.gen
 			st.Reused++
 			continue
-		}
-		sort.Slice(c.jobs, func(a, b int) bool { return idx[c.jobs[a]] < idx[c.jobs[b]] })
-		key := x.fingerprint(in, idx, c, floors)
-		h := fnv64(key)
-		if r := x.cacheLookup(h, key); r != nil {
+		} else if r := c.memo[wbits]; r != nil && x.gen-r.lastUsed <= memoAge {
 			r.lastUsed = x.gen
 			c.result = r
-			c.dirty = false
 			st.CacheHits++
 			x.stats.TotalCacheHits++
 			continue
@@ -376,8 +366,7 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 		x.stats.TotalCacheMisses++
 		c.result = nil
 		c.dirty = true
-		c.pendHash = h
-		c.pendKey = append([]byte(nil), key...)
+		sort.Slice(c.jobs, func(a, b int) bool { return idx[c.jobs[a]] < idx[c.jobs[b]] })
 		toSolve = append(toSolve, c)
 	}
 	st.Solved = len(toSolve)
@@ -441,9 +430,10 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 		if firstErr != nil {
 			return nil, firstErr
 		}
-		for _, c := range toSolve {
-			x.cache[c.result.hash] = append(x.cache[c.result.hash], c.result)
-			c.pendKey = nil
+		if x.Enhanced {
+			for _, c := range toSolve {
+				c.remember(wbits, x.gen)
+			}
 		}
 	}
 	for _, d := range perComp {
@@ -476,8 +466,6 @@ func (x *IncrementalSolver) Solve(in *Instance, dirty map[string]bool) (*Allocat
 		}
 		alloc.Share[i] = row
 	}
-
-	x.evict()
 	sv.stage(StageMerge, time.Since(tMerge), false)
 
 	st.SequentialTime = time.Duration(seqNS.Load())
@@ -647,14 +635,9 @@ func (x *IncrementalSolver) solveComp(sv *Solver, in *Instance, idx map[string]i
 	if err != nil {
 		return nil, rep, err
 	}
-	res := &compResult{
-		hash:     c.pendHash,
-		key:      c.pendKey,
-		shares:   make(map[string][]float64, nj),
-		lastUsed: x.gen,
-	}
+	res := &compResult{shares: make(map[string][]float64, nj), lastUsed: x.gen}
 	for lj, name := range c.jobs {
-		row := make([]float64, x.m)
+		row := make([]float64, len(x.caps))
 		for ls, s := range c.sites {
 			row[s] = a.Share[lj][ls]
 		}
@@ -663,93 +646,32 @@ func (x *IncrementalSolver) solveComp(sv *Solver, in *Instance, idx map[string]i
 	return res, rep, nil
 }
 
-// fingerprint serializes everything the component's solution depends on:
-// member names, weights, demand and work rows restricted to the
-// component's sites, site indices and capacities, (Enhanced) floors, and
-// the approximate-path routing decision — a component solved approximately
-// under one epsilon must not be spliced for a solve under another, or for
-// an exact solve. The buffer is reused across calls; callers copy before
-// retaining.
-func (x *IncrementalSolver) fingerprint(in *Instance, idx map[string]int, c *incComp, floors []float64) []byte {
-	buf := x.keyBuf[:0]
-	edges := 0
-	if floors != nil {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+// remember files c's freshly solved result under weight-sum bits w,
+// dropping entries unused for memoAge solves.
+func (c *incComp) remember(w, gen uint64) {
+	if c.memo == nil {
+		c.memo = map[uint64]*compResult{}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(c.sites)))
-	for _, s := range c.sites {
-		buf = binary.AppendUvarint(buf, uint64(s))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(in.SiteCapacity[s]))
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(c.jobs)))
-	for _, name := range c.jobs {
-		i := idx[name]
-		buf = binary.AppendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(in.JobWeight(i)))
-		if floors != nil {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(floors[i]))
-		}
-		for _, s := range c.sites {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(in.Demand[i][s]))
-			if in.Demand[i][s] > 0 {
-				edges++
-			}
-		}
-		if in.Work != nil {
-			buf = append(buf, 1)
-			for _, s := range c.sites {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(in.Work[i][s]))
-			}
-		} else {
-			buf = append(buf, 0)
+	for k, r := range c.memo {
+		if gen-r.lastUsed > memoAge {
+			delete(c.memo, k)
 		}
 	}
-	// The routing decision mirrors Solver.approxRoute on the materialized
-	// sub-instance: jobs + positive-demand edges against the threshold.
-	if sv := x.Solver; sv != nil && sv.approxEnabled() && len(c.jobs)+edges > sv.ApproxThreshold {
-		buf = append(buf, 1)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sv.ApproxEpsilon))
-	} else {
-		buf = append(buf, 0)
-	}
-	x.keyBuf = buf
-	return buf
+	c.memo[w] = c.result
 }
 
-func (x *IncrementalSolver) cacheLookup(h uint64, key []byte) *compResult {
-	for _, r := range x.cache[h] {
-		if bytes.Equal(r.key, key) {
-			return r
+// sameBits reports whether a and b hold bit-identical values.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
 		}
 	}
-	return nil
+	return true
 }
-
-// evict drops cache entries unused for CacheAge generations.
-func (x *IncrementalSolver) evict() {
-	age := x.cacheAge()
-	for h, bucket := range x.cache {
-		keep := bucket[:0]
-		for _, r := range bucket {
-			if x.gen-r.lastUsed <= age {
-				keep = append(keep, r)
-			}
-		}
-		if len(keep) == 0 {
-			delete(x.cache, h)
-		} else {
-			x.cache[h] = keep
-		}
-	}
-}
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
 
 // validateJobData float-scans one job's weight, demand and work rows —
 // the per-dirty-job slice of Instance.Validate (lengths are checked
@@ -773,25 +695,4 @@ func validateJobData(in *Instance, j int) error {
 		}
 	}
 	return nil
-}
-
-func fnv64(b []byte) uint64 {
-	h := uint64(fnvOffset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
-}
-
-func hashFloats(v []float64) uint64 {
-	h := uint64(fnvOffset)
-	for _, f := range v {
-		bits := math.Float64bits(f)
-		for k := 0; k < 64; k += 8 {
-			h ^= uint64(byte(bits >> k))
-			h *= fnvPrime
-		}
-	}
-	return h
 }

@@ -166,9 +166,10 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 }
 
 // TestIncrementalCarryAndCache pins the reuse accounting: an untouched
-// revision splices every component without hashing, a single-job mutation
-// re-solves exactly one component, and reverting that mutation hits the
-// fingerprint cache instead of solving.
+// revision splices every component, a single-job mutation re-solves
+// exactly one component, and reverting that mutation re-solves it again
+// (content round-trips are not memoized; only Enhanced-AMF weight sums
+// are).
 func TestIncrementalCarryAndCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const blocks, spb = 6, 3
@@ -204,13 +205,13 @@ func TestIncrementalCarryAndCache(t *testing.T) {
 		t.Fatalf("single-job mutation: solved %d reused %d, want 1/%d", st.Solved, st.Reused, blocks-1)
 	}
 
-	h.dem[0][0] = old // revert: the component's fingerprint round-trips
+	h.dem[0][0] = old // revert: the component's content round-trips
 	if _, err := x.Solve(h.instance(), map[string]bool{h.name[0]: true}); err != nil {
 		t.Fatal(err)
 	}
 	st = x.LastStats()
-	if st.CacheHits != 1 || st.Solved != 0 || st.Reused != blocks-1 {
-		t.Fatalf("reverted mutation: hits %d solved %d reused %d, want 1/0/%d", st.CacheHits, st.Solved, st.Reused, blocks-1)
+	if st.CacheHits != 0 || st.Solved != 1 || st.Reused != blocks-1 {
+		t.Fatalf("reverted mutation: hits %d solved %d reused %d, want 0/1/%d", st.CacheHits, st.Solved, st.Reused, blocks-1)
 	}
 }
 
@@ -272,8 +273,8 @@ func TestEnhancedWeightChangeInvalidatesAllComponents(t *testing.T) {
 
 // TestIncrementalSplitMerge walks a component through a merge (a job
 // bridges two blocks), verifies the merged component re-solves while
-// bystanders are reused, then removes the bridge and verifies the split
-// components come back from the fingerprint cache.
+// bystanders are reused, then removes the bridge and verifies both split
+// components are re-solved while the bystanders stay reused.
 func TestIncrementalSplitMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const blocks, spb = 4, 3
@@ -297,16 +298,17 @@ func TestIncrementalSplitMerge(t *testing.T) {
 		t.Fatalf("after merge: reused %d solved %d, want %d/1", st.Reused, st.Solved, blocks-2)
 	}
 
-	// Remove the bridge: blocks 0 and 1 split apart again, and both halves
-	// were solved before the merge — the cache must resurrect them.
+	// Remove the bridge: blocks 0 and 1 split apart again. Both halves are
+	// new components, so both are solved even though their content was
+	// seen before the merge.
 	h.dem[0][spb] = saved
 	checkIncrementalMatches(t, "split", x, h.instance(), map[string]bool{h.name[0]: true}, false)
 	st = x.LastStats()
 	if st.Components != blocks {
 		t.Fatalf("after split: %d components, want %d", st.Components, blocks)
 	}
-	if st.CacheHits != 2 || st.Solved != 0 || st.Reused != blocks-2 {
-		t.Fatalf("after split: hits %d solved %d reused %d, want 2/0/%d", st.CacheHits, st.Solved, st.Reused, blocks-2)
+	if st.CacheHits != 0 || st.Solved != 2 || st.Reused != blocks-2 {
+		t.Fatalf("after split: hits %d solved %d reused %d, want 0/2/%d", st.CacheHits, st.Solved, st.Reused, blocks-2)
 	}
 }
 
@@ -345,4 +347,110 @@ func TestIncrementalRemovalAndZeroDemand(t *testing.T) {
 		t.Fatalf("zero-demand job aggregate = %g, want 0", agg)
 	}
 	checkIncrementalMatches(t, "zero-demand", x, h.instance(), map[string]bool{zeroed: true}, false)
+}
+
+// TestIncrementalEnhancedWeightSumMemo pins the Enhanced-AMF weight-sum
+// memo. A transient job admitted on fresh sites and then removed returns
+// the weight sum W to an earlier value, and every untouched component
+// recalls the result it had under that W instead of solving. A W last
+// used more than memoAge solves ago is re-solved, and a change of the
+// approximate-path knobs never recalls, even without Reset. Every solve
+// is checked against a from-scratch Enhanced solve under the same knobs.
+func TestIncrementalEnhancedWeightSumMemo(t *testing.T) {
+	const blocks, spb = 4, 3
+	solve := func(t *testing.T, tag string, x *IncrementalSolver, h *incHarness, dirty map[string]bool) IncrementalStats {
+		t.Helper()
+		in := h.instance()
+		got, err := x.Solve(in, dirty)
+		if err != nil {
+			t.Fatalf("%s: incremental: %v", tag, err)
+		}
+		ref := &Solver{ApproxEpsilon: x.Solver.ApproxEpsilon, ApproxThreshold: x.Solver.ApproxThreshold}
+		want, err := ref.EnhancedAMF(in)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", tag, err)
+		}
+		tol := 1e-9 * in.Scale()
+		for j := range want.Share {
+			if d := math.Abs(got.Aggregate(j) - want.Aggregate(j)); d > tol {
+				t.Fatalf("%s: job %s aggregate %g (incremental) vs %g (scratch), |diff| %g > %g",
+					tag, in.JobName[j], got.Aggregate(j), want.Aggregate(j), d, tol)
+			}
+		}
+		st := x.LastStats()
+		if st.Reused+st.CacheHits+st.Solved != st.Components {
+			t.Fatalf("%s: stats don't partition: %+v", tag, st)
+		}
+		return st
+	}
+	// admit builds blocks populated components plus one block of fresh
+	// sites, solves it, then admits a transient job on the fresh sites:
+	// W changes, so every component is solved.
+	admit := func(t *testing.T, x *IncrementalSolver) *incHarness {
+		rng := rand.New(rand.NewSource(41))
+		h := newIncHarness(rng, blocks+1, spb)
+		for b := 0; b < blocks; b++ {
+			h.addJob(rng, b, spb)
+			h.addJob(rng, b, spb)
+		}
+		solve(t, "init", x, h, nil)
+		name := h.addJob(rng, blocks, spb)
+		if st := solve(t, "admit", x, h, map[string]bool{name: true}); st.Solved != blocks+1 || st.CacheHits != 0 {
+			t.Fatalf("admit: solved %d hits %d, want %d/0", st.Solved, st.CacheHits, blocks+1)
+		}
+		return h
+	}
+	evict := func(t *testing.T, x *IncrementalSolver, h *incHarness) IncrementalStats {
+		h.removeJob(len(h.name) - 1)
+		st := solve(t, "evict", x, h, nil)
+		if st.Components != blocks {
+			t.Fatalf("evict: %d components, want %d", st.Components, blocks)
+		}
+		return st
+	}
+
+	t.Run("recall", func(t *testing.T) {
+		x := &IncrementalSolver{Solver: &Solver{}, Enhanced: true}
+		h := admit(t, x)
+		if st := evict(t, x, h); st.CacheHits != blocks || st.Solved != 0 {
+			t.Fatalf("evict: hits %d solved %d, want %d/0", st.CacheHits, st.Solved, blocks)
+		}
+		if st := x.LastStats(); st.TotalCacheHits != blocks || st.TotalCacheMisses != 2*blocks+1 {
+			t.Fatalf("lifetime hits/misses %d/%d, want %d/%d", st.TotalCacheHits, st.TotalCacheMisses, blocks, 2*blocks+1)
+		}
+	})
+
+	// The weight sum before the admit was last used at init; after idle
+	// clean solves the evict comes idle+2 solves later.
+	for _, idle := range []int{memoAge - 2, memoAge - 1} {
+		t.Run(fmt.Sprintf("expiry/idle=%d", idle), func(t *testing.T) {
+			x := &IncrementalSolver{Solver: &Solver{}, Enhanced: true}
+			h := admit(t, x)
+			for i := 0; i < idle; i++ {
+				if st := solve(t, "idle", x, h, nil); st.Reused != blocks+1 {
+					t.Fatalf("idle solve: reused %d, want %d", st.Reused, blocks+1)
+				}
+			}
+			st := evict(t, x, h)
+			wantHits := 0
+			if idle+2 <= memoAge {
+				wantHits = blocks
+			}
+			if st.CacheHits != wantHits || st.Solved != blocks-wantHits {
+				t.Fatalf("evict %d solves after last use: hits %d solved %d, want %d/%d",
+					idle+2, st.CacheHits, st.Solved, wantHits, blocks-wantHits)
+			}
+		})
+	}
+
+	t.Run("approx-knobs", func(t *testing.T) {
+		x := &IncrementalSolver{Solver: &Solver{}, Enhanced: true}
+		h := admit(t, x)
+		x.Solver.ApproxEpsilon, x.Solver.ApproxThreshold = 0.01, 1
+		st := evict(t, x, h)
+		if st.CacheHits != 0 || st.Solved != blocks || st.ApproxComponents != blocks {
+			t.Fatalf("evict after knob change: hits %d solved %d approx %d, want 0/%d/%d",
+				st.CacheHits, st.Solved, st.ApproxComponents, blocks, blocks)
+		}
+	})
 }

@@ -22,6 +22,11 @@ func DemandSites(demand []float64) []int {
 	return sites
 }
 
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
 // ShardKey returns a stable shard key for a job footprint: an FNV-1a hash
 // of the smallest touched site index. ok is false when the footprint is
 // empty (a zero-demand job belongs to no component and may be placed

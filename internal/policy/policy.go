@@ -127,8 +127,8 @@ func Names() []string {
 	return []string{"amf", "amf+jct", "amf-enhanced", "psmmf", "drf", "propfair"}
 }
 
-// fnv64 is FNV-1a over raw bytes — the same construction the incremental
-// solver's component fingerprints use, kept dependency-free here.
+// FNV-1a parameters for the policy fingerprints below, kept
+// dependency-free here.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211

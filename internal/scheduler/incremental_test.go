@@ -276,6 +276,8 @@ func TestIncrementalSchedulerLongStream(t *testing.T) {
 		h.addJob()
 	}
 	h.compare("init")
+	// The stream ends with no jobs, so reuse is judged over the whole run.
+	maxReused := 0
 	for mut := 0; mut < mutations; mut++ {
 		switch h.rng.Intn(12) {
 		case 0:
@@ -306,9 +308,12 @@ func TestIncrementalSchedulerLongStream(t *testing.T) {
 			h.reportProgress()
 		}
 		h.compare(fmt.Sprintf("mut %d", mut))
+		if r := h.inc.Stats().LastReused; r > maxReused {
+			maxReused = r
+		}
 	}
-	if st := h.inc.Stats(); st.CacheHits+int64(st.LastReused) == 0 {
-		t.Fatalf("long stream never reused anything: %+v", st)
+	if maxReused == 0 {
+		t.Fatalf("long stream never reused anything: %+v", h.inc.Stats())
 	}
 }
 

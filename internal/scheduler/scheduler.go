@@ -11,9 +11,10 @@
 // per controller (and switchable at runtime via SetPolicy): policies that
 // declare incremental support (AMF, Enhanced AMF) re-solve through
 // core.IncrementalSolver — only the connected components the dirty jobs
-// belong to are re-solved, the rest are spliced from carried or cached
-// results — while the rest solve from scratch (DRF brings its own
-// policy-owned component cache). All methods are safe for concurrent use.
+// belong to are re-solved, the rest are spliced from carried or (Enhanced
+// AMF) weight-sum-memoized results — while the rest solve from scratch
+// (DRF brings its own policy-owned component cache). All methods are safe
+// for concurrent use.
 package scheduler
 
 import (
@@ -123,14 +124,17 @@ type Stats struct {
 	// (sequential component time / wall time; 1 for monolithic solves).
 	LastSpeedup float64
 	// LastReused is the number of components the most recent solve did NOT
-	// re-solve: spliced from the previous solve's results or resurrected
-	// from the fingerprint cache. Zero for from-scratch solves.
+	// re-solve: spliced from the previous solve's results or recalled
+	// from the Enhanced-AMF weight-sum memo. Zero for from-scratch solves.
 	LastReused int
 	// LastResolved is the number of components the most recent solve
 	// actually re-solved.
 	LastResolved int
-	// CacheHits/CacheMisses accumulate component fingerprint-cache lookups
-	// across the controller's lifetime (incremental path only).
+	// CacheHits/CacheMisses accumulate across the controller's lifetime
+	// (incremental path only): CacheHits counts components recalled from
+	// the Enhanced-AMF weight-sum memo, CacheMisses every component that
+	// was re-solved. Plain AMF never recalls, so it reports zero hits.
+	// DRF reports its own policy cache in the same slots.
 	CacheHits   int64
 	CacheMisses int64
 	// GlobalInvalidations counts Enhanced-AMF floor invalidations: solves
@@ -231,10 +235,11 @@ func New(cfg Config) (*Scheduler, error) {
 
 // installIncrementalLocked (re)builds the incremental solver according to
 // the current policy's declared capabilities. Policies whose shares
-// depend only on weights, demands and capacities — all captured by the
-// component fingerprint — declare Incremental and ride the dirty-set
-// path; the rest (AMF+JCT's work-dependent split, PS-MMF, DRF, propfair)
-// solve from scratch, DRF through its own policy-owned result cache.
+// depend only on weights, demands and capacities — all covered by the
+// dirty set, plus the weight sum for Enhanced AMF — declare Incremental
+// and ride the dirty-set path; the rest (AMF+JCT's work-dependent split,
+// PS-MMF, DRF, propfair) solve from scratch, DRF through its own
+// policy-owned result cache.
 func (sc *Scheduler) installIncrementalLocked() {
 	caps := sc.cfg.Policy.Capabilities()
 	if !sc.cfg.DisableIncremental && caps.Incremental {
@@ -662,8 +667,9 @@ func (sc *Scheduler) setApproxLocked(eps float64, threshold int) {
 	sc.cfg.ApproxEpsilon = eps
 	sc.cfg.ApproxThreshold = threshold
 	if sc.inc != nil {
-		// Carried component results splice without re-fingerprinting, so a
-		// routing-knob change must drop them wholesale.
+		// A routing-knob change invalidates every carried component result;
+		// drop them now (the solver's own knob check would also catch it
+		// on the next Solve).
 		sc.inc.Reset()
 	}
 	sc.resetHotLocked() // the dropped components' telemetry went with them

@@ -142,7 +142,7 @@ type AllocSnapshot struct {
 	SolveDuration time.Duration
 	// ComponentsReused and ComponentsResolved record how incrementally the
 	// commit's solve ran: reused components were spliced from carried or
-	// fingerprint-cached results, resolved ones were actually re-solved.
+	// weight-sum-memoized results, resolved ones were actually re-solved.
 	// Both are zero when the solve was skipped (nothing dirty) and
 	// Reused is zero on from-scratch paths.
 	ComponentsReused   int
@@ -716,7 +716,9 @@ func (e *Engine) commit(batch []*op) {
 		e.gResolved.Set(float64(st.LastResolved))
 		// Lifetime ratio (kept for dashboard continuity) plus the windowed
 		// companion: the lifetime counters make the ratio converge so
-		// slowly that behavior changes barely move it.
+		// slowly that behavior changes barely move it. Hits are Enhanced-AMF
+		// weight-sum memo recalls (DRF: its policy cache) over all
+		// non-spliced components, so plain AMF reports 0.
 		if lookups := st.CacheHits + st.CacheMisses; lookups > 0 {
 			e.gHitRatio.Set(float64(st.CacheHits) / float64(lookups))
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 )
 
@@ -270,8 +271,10 @@ func TestEngineConcurrentReadersWriters(t *testing.T) {
 // TestEngineIncrementalTelemetry checks that the incremental-solve
 // telemetry flows through the commit path into both the published
 // snapshot and the metrics gauges: a single-component mutation on a
-// multi-component job set reuses the untouched components, and a
-// round-tripped mutation hits the fingerprint cache.
+// multi-component job set reuses the untouched components, a
+// round-tripped mutation re-solves only its own component, and under
+// Enhanced AMF a transient admit then evict recalls every other component
+// from its weight-sum memo.
 func TestEngineIncrementalTelemetry(t *testing.T) {
 	reg := obs.NewRegistry()
 	sc, err := scheduler.New(scheduler.Config{SiteCapacity: []float64{4, 4, 8}})
@@ -310,22 +313,50 @@ func TestEngineIncrementalTelemetry(t *testing.T) {
 		t.Fatalf("components_resolved gauge = %g, want 1", got)
 	}
 
-	// Reverting the weight round-trips b's component fingerprint: a cache
-	// hit, no re-solve, and a positive hit ratio.
+	// Reverting the weight round-trips b's content, which is not memoized:
+	// b's component re-solves and the other two are reused.
 	if err := eng.UpdateWeight(context.Background(), "b", 1); err != nil {
 		t.Fatal(err)
 	}
 	snap = eng.Current()
-	if snap.ComponentsResolved != 0 || snap.ComponentsReused != 3 {
-		t.Fatalf("snapshot after reverted mutation: resolved %d reused %d, want 0/3",
+	if snap.ComponentsResolved != 1 || snap.ComponentsReused != 2 {
+		t.Fatalf("snapshot after reverted mutation: resolved %d reused %d, want 1/2",
 			snap.ComponentsResolved, snap.ComponentsReused)
 	}
-	m = reg.Snapshot()
-	if got := m.Gauges["engine.cache_hit_ratio"]; got <= 0 {
-		t.Fatalf("cache_hit_ratio gauge = %g, want > 0 after a fingerprint round-trip", got)
+
+	// Enhanced AMF: a transient job on a fresh site moves the weight sum
+	// and back, so its eviction recalls all three components.
+	ereg := obs.NewRegistry()
+	esc, err := scheduler.New(scheduler.Config{SiteCapacity: []float64{4, 4, 8, 2}, Policy: policy.EnhancedAMF})
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := eng.Stats()
-	if st.CacheHits == 0 || st.LastReused != 3 {
+	eeng, err := New(esc, Config{Metrics: ereg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = eeng.Close() })
+	for i, id := range []string{"a", "b", "c", "t"} {
+		demand := make([]float64, 4)
+		demand[i] = 1
+		if err := eeng.AddJob(context.Background(), id, 1, demand, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eeng.RemoveJob(context.Background(), "t"); err != nil {
+		t.Fatal(err)
+	}
+	snap = eeng.Current()
+	if snap.ComponentsResolved != 0 || snap.ComponentsReused != 3 {
+		t.Fatalf("snapshot after transient evict: resolved %d reused %d, want 0/3",
+			snap.ComponentsResolved, snap.ComponentsReused)
+	}
+	m = ereg.Snapshot()
+	if got := m.Gauges["engine.cache_hit_ratio"]; got <= 0 {
+		t.Fatalf("cache_hit_ratio gauge = %g, want > 0 after a weight-sum round-trip", got)
+	}
+	st := eeng.Stats()
+	if st.CacheHits != 3 || st.LastReused != 3 {
 		t.Fatalf("stats missing incremental accounting: %+v", st)
 	}
 }

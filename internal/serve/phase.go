@@ -380,7 +380,7 @@ func (e *Engine) phaseTick() {
 }
 
 // cacheWindow tracks per-commit deltas of the solver's lifetime
-// fingerprint-cache counters over the last cacheWindowCommits commits,
+// cache hit/miss counters (see scheduler.Stats.CacheHits) over the last cacheWindowCommits commits,
 // feeding engine.cache_hit_ratio_window. The lifetime ratio
 // (engine.cache_hit_ratio) is kept for continuity but converges so
 // slowly on long-lived engines that a behavior change — a policy
