@@ -26,36 +26,21 @@ package api
 // survives crash recovery and replicates to followers.
 //
 // The bespoke endpoints remain as thin deprecated aliases: they keep
-// their exact wire shapes, route through the same logged application
-// when the backend supports it, and advertise the successor via
+// their exact wire shapes, decode onto the same logged OpSetConfig
+// mutation on every backend, and advertise the successor via
 // `Deprecation: true` and `Link: </v1/config>; rel="successor-version"`
 // response headers.
 
 import (
 	"context"
-	"encoding/json"
 	"math"
 	"net/http"
 
 	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
+	"repro/internal/wal"
 )
-
-// ConfigPatcher is the optional unified runtime-tuning surface behind
-// GET/PATCH /v1/config. RuntimeConfig returns the full tuning document;
-// ApplyConfig applies a validated-in-full, atomically-applied partial
-// update. The read takes a context (and can fail) because the cluster
-// router implements it by fanning out to shards. Backends without the
-// methods serve the legacy read-only config document and reject PATCH
-// with invalid_argument.
-type ConfigPatcher interface {
-	RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, error)
-	ApplyConfig(ctx context.Context, p scheduler.ConfigPatch) error
-}
-
-var _ ConfigPatcher = (*serve.Engine)(nil)
-var _ ConfigPatcher = schedulerBackend{}
 
 // PhaseReporter is the optional phase-reconciliation read surface:
 // PhaseInfo returns the count of acknowledged commutative mutations
@@ -67,20 +52,6 @@ type PhaseReporter interface {
 }
 
 var _ PhaseReporter = (*serve.Engine)(nil)
-
-func (b schedulerBackend) RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, error) {
-	if err := ctx.Err(); err != nil {
-		return scheduler.RuntimeConfig{}, err
-	}
-	return b.sc.RuntimeConfig(), nil
-}
-
-func (b schedulerBackend) ApplyConfig(ctx context.Context, p scheduler.ConfigPatch) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.ApplyConfigPatch(p)
-}
 
 // SolverConfigSection is the solver block of the /v1/config document.
 type SolverConfigSection struct {
@@ -250,20 +221,20 @@ func (c ConfigResponse) RuntimeConfig() scheduler.RuntimeConfig {
 
 // configDoc assembles the full /v1/config document from the backend's
 // runtime config plus the server's immutable boot config.
-func (s *Server) configDoc(ctx context.Context, cp ConfigPatcher) (ConfigResponse, error) {
-	rc, err := cp.RuntimeConfig(ctx)
+func (s *Server) configDoc(ctx context.Context) (ConfigResponse, error) {
+	rc, err := s.sc.RuntimeConfig(ctx)
 	if err != nil {
 		return ConfigResponse{}, err
 	}
-	doc := s.cfg
-	doc.Policy = rc.Policy
-	doc.Solver = &SolverConfigSection{
-		ApproxEpsilon:   rc.ApproxEpsilon,
-		ApproxThreshold: rc.ApproxThreshold,
-	}
-	ph := rc.Phase
-	doc.Phase = &ph
-	return doc, nil
+	return ConfigResponse{
+		SiteCapacity: s.siteCapacity,
+		Policy:       rc.Policy,
+		Solver: &SolverConfigSection{
+			ApproxEpsilon:   rc.ApproxEpsilon,
+			ApproxThreshold: rc.ApproxThreshold,
+		},
+		Phase: &rc.Phase,
+	}, nil
 }
 
 // handlePatchConfig applies one partial runtime-tuning update. All
@@ -271,15 +242,8 @@ func (s *Server) configDoc(ctx context.Context, cp ConfigPatcher) (ConfigRespons
 // a valid patch is applied atomically and answered with the updated
 // document. An empty patch is a no-op that returns the current document.
 func (s *Server) handlePatchConfig(w http.ResponseWriter, r *http.Request) {
-	cp, ok := s.sc.(ConfigPatcher)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "backend does not support runtime config patching", Code: CodeInvalidArgument})
-		return
-	}
 	var req ConfigPatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	if fields := req.validate(); len(fields) > 0 {
@@ -291,12 +255,12 @@ func (s *Server) handlePatchConfig(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if patch := req.Patch(); !patch.Empty() {
-		if err := cp.ApplyConfig(r.Context(), patch); err != nil {
+		if _, err := s.sc.Apply(r.Context(), wal.Mutation{Op: wal.OpSetConfig, Config: &patch}); err != nil {
 			writeError(w, err)
 			return
 		}
 	}
-	doc, err := s.configDoc(r.Context(), cp)
+	doc, err := s.configDoc(r.Context())
 	if err != nil {
 		writeError(w, err)
 		return

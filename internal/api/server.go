@@ -90,6 +90,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
+	"repro/internal/wal"
 )
 
 // TraceHeader is the response (and optional request) header carrying the
@@ -102,24 +103,34 @@ const TraceHeader = "X-AMF-Trace-Id"
 // GET /v1/traces can stitch shard-local traces under their parent.
 const ParentHeader = "X-AMF-Parent-Span"
 
-// Backend is the controller surface the API serves. All mutations and
-// reads are context-aware; implementations must return promptly with
-// ctx.Err() (or an error wrapping it) once ctx is cancelled. Implemented
-// by *serve.Engine (batched mutations, lock-free snapshot reads) and, via
-// an internal adapter, by a bare *scheduler.Scheduler.
+// Backend is the controller surface the API serves: one mutating method,
+// Apply, taking the same wal.Mutation value the engine logs and recovery
+// replays, plus the reads every backend has. Every handler that writes
+// decodes its body into a Mutation. Implementations must return promptly
+// with ctx.Err() (or an error wrapping it) once ctx is cancelled, and
+// reject the op kinds they do not serve with an error (a read replica
+// rejects all of them). Implemented by *serve.Engine (batched mutations,
+// lock-free snapshot reads), the cluster router and read replicas, and,
+// via an internal adapter, by a bare *scheduler.Scheduler.
 type Backend interface {
-	AddJob(ctx context.Context, id string, weight float64, demand, work []float64) error
-	AddJobInQueue(ctx context.Context, queue, id string, weight float64, demand, work []float64) error
-	AddJobs(ctx context.Context, specs []scheduler.JobSpec) error
-	AddQueue(ctx context.Context, name string, weight float64) error
-	RemoveJob(ctx context.Context, id string) error
-	ReportProgress(ctx context.Context, id string, done []float64) (bool, error)
-	UpdateWeight(ctx context.Context, id string, weight float64) error
+	// Apply applies one mutation; completed reports whether an OpProgress
+	// finished its job.
+	Apply(ctx context.Context, m wal.Mutation) (completed bool, err error)
 	Shares(ctx context.Context, id string) ([]float64, error)
 	Allocation(ctx context.Context) (map[string][]float64, error)
 	Stats() scheduler.Stats
 	Snapshot() scheduler.Snapshot
-	Restore(ctx context.Context, snap scheduler.Snapshot) error
+	// PolicyName reports the active fairness policy's wire name.
+	PolicyName() string
+	// RuntimeConfig reports the runtime-tuning document behind
+	// GET /v1/config. It takes a context (and can fail) because the
+	// cluster router fans it out to shards.
+	RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, error)
+	// Explain derives the water-filling evidence behind GET /v1/explain
+	// (per-job final level, freeze round, binding sites, floor flags;
+	// per-site saturation). job "" requests the full explanation; a named
+	// job must exist (scheduler.ErrUnknownJob → 404).
+	Explain(ctx context.Context, job string) (*serve.ExplainResult, error)
 }
 
 // ReadyChecker is the optional readiness surface behind GET /v1/readyz.
@@ -138,55 +149,10 @@ type Versioned interface {
 	SnapshotVersion() uint64
 }
 
-// ExternalWeighter is the optional cluster-reconciliation surface behind
-// PUT /v1/cluster/external-weight: the share-weight sum held by jobs
-// outside this backend, folded into Enhanced-AMF equal-share floors.
-type ExternalWeighter interface {
-	SetExternalWeight(ctx context.Context, w float64) error
-}
-
-// ApproxConfigurer is the optional solver-tuning surface behind
-// PUT/GET /v1/solver/approx: the approximate water-filling knobs
-// (core.Solver.ApproxEpsilon / ApproxThreshold). Backends without the
-// methods reject the routes with invalid_argument.
-type ApproxConfigurer interface {
-	SetApproxConfig(ctx context.Context, epsilon float64, threshold int) error
-	ApproxConfig() (epsilon float64, threshold int)
-}
-
-// PolicyController is the optional fairness-policy surface behind
-// GET/PUT /v1/policy: the active policy's wire name, and a runtime switch
-// to another one (policy.Names lists the valid names). Backends without
-// the methods serve the constructor-time policy read-only and reject the
-// switch with invalid_argument.
-type PolicyController interface {
-	PolicyName() string
-	SetPolicy(ctx context.Context, name string) error
-}
-
-// Explainer is the optional allocation-explainability surface behind
-// GET /v1/explain: the water-filling evidence (per-job final level,
-// freeze round, binding sites, floor flags; per-site saturation) derived
-// from the backend's published allocation. job "" requests the full
-// explanation; a named job must exist (scheduler.ErrUnknownJob → 404).
-// Implemented by *serve.Engine (snapshot-consistent, cached per version),
-// the cluster router (routed to the owning shard) and read replicas.
-type Explainer interface {
-	Explain(ctx context.Context, job string) (*serve.ExplainResult, error)
-}
-
 var _ Backend = (*serve.Engine)(nil)
 var _ Backend = schedulerBackend{}
 var _ ReadyChecker = (*serve.Engine)(nil)
 var _ Versioned = (*serve.Engine)(nil)
-var _ ExternalWeighter = (*serve.Engine)(nil)
-var _ ExternalWeighter = schedulerBackend{}
-var _ ApproxConfigurer = (*serve.Engine)(nil)
-var _ ApproxConfigurer = schedulerBackend{}
-var _ PolicyController = (*serve.Engine)(nil)
-var _ PolicyController = schedulerBackend{}
-var _ Explainer = (*serve.Engine)(nil)
-var _ Explainer = schedulerBackend{}
 
 // schedulerBackend adapts a bare controller to the context-aware Backend.
 // The scheduler's methods are fast and synchronous, so honoring the
@@ -195,53 +161,11 @@ type schedulerBackend struct {
 	sc *scheduler.Scheduler
 }
 
-func (b schedulerBackend) AddJob(ctx context.Context, id string, weight float64, demand, work []float64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.AddJob(id, weight, demand, work)
-}
-
-func (b schedulerBackend) AddJobInQueue(ctx context.Context, queue, id string, weight float64, demand, work []float64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.AddJobInQueue(queue, id, weight, demand, work)
-}
-
-func (b schedulerBackend) AddJobs(ctx context.Context, specs []scheduler.JobSpec) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.AddJobs(specs)
-}
-
-func (b schedulerBackend) AddQueue(ctx context.Context, name string, weight float64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.AddQueue(name, weight)
-}
-
-func (b schedulerBackend) RemoveJob(ctx context.Context, id string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.RemoveJob(id)
-}
-
-func (b schedulerBackend) ReportProgress(ctx context.Context, id string, done []float64) (bool, error) {
+func (b schedulerBackend) Apply(ctx context.Context, m wal.Mutation) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	return b.sc.ReportProgress(id, done)
-}
-
-func (b schedulerBackend) UpdateWeight(ctx context.Context, id string, weight float64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.UpdateWeight(id, weight)
+	return m.Apply(b.sc)
 }
 
 func (b schedulerBackend) Shares(ctx context.Context, id string) ([]float64, error) {
@@ -262,29 +186,13 @@ func (b schedulerBackend) Stats() scheduler.Stats { return b.sc.Stats() }
 
 func (b schedulerBackend) Snapshot() scheduler.Snapshot { return b.sc.Snapshot() }
 
-func (b schedulerBackend) Restore(ctx context.Context, snap scheduler.Snapshot) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.Restore(snap)
-}
+func (b schedulerBackend) PolicyName() string { return b.sc.PolicyName() }
 
-func (b schedulerBackend) SetExternalWeight(ctx context.Context, w float64) error {
+func (b schedulerBackend) RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return scheduler.RuntimeConfig{}, err
 	}
-	return b.sc.SetExternalWeight(w)
-}
-
-func (b schedulerBackend) SetApproxConfig(ctx context.Context, epsilon float64, threshold int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.SetApproxConfig(epsilon, threshold)
-}
-
-func (b schedulerBackend) ApproxConfig() (epsilon float64, threshold int) {
-	return b.sc.ApproxConfig()
+	return b.sc.RuntimeConfig(), nil
 }
 
 func (b schedulerBackend) Explain(ctx context.Context, job string) (*serve.ExplainResult, error) {
@@ -299,15 +207,6 @@ func (b schedulerBackend) Explain(ctx context.Context, job string) (*serve.Expla
 		return nil, fmt.Errorf("%w: %q", scheduler.ErrUnknownJob, job)
 	}
 	return &serve.ExplainResult{Policy: b.sc.PolicyName(), Explanation: ex}, nil
-}
-
-func (b schedulerBackend) PolicyName() string { return b.sc.PolicyName() }
-
-func (b schedulerBackend) SetPolicy(ctx context.Context, name string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.sc.SetPolicyName(name)
 }
 
 // AddJobRequest registers a job. Queue, when set, must name a queue
@@ -392,10 +291,9 @@ type AllocationResponse struct {
 }
 
 // ConfigResponse is the GET /v1/config (and PATCH /v1/config response)
-// document: the controller's immutable boot configuration plus, when the
-// backend exposes the unified tuning surface (ConfigPatcher), the full
-// runtime-tuning state. Solver and Phase are nil for legacy read-only
-// backends, keeping the historical two-field shape.
+// document: the controller's immutable boot configuration plus the full
+// runtime-tuning state. Solver and Phase are pointers so a client can
+// tell a document from an older server that omitted them.
 type ConfigResponse struct {
 	SiteCapacity []float64              `json:"site_capacity"`
 	Policy       string                 `json:"policy"`
@@ -452,19 +350,22 @@ type errorResponse struct {
 
 // Server wraps a controller backend with the HTTP API.
 type Server struct {
-	sc         Backend
-	cfg        ConfigResponse
-	mux        *http.ServeMux
-	reg        *obs.Registry
-	traces     *span.Recorder
-	slowTraces *span.SlowRecorder
+	sc           Backend
+	siteCapacity []float64
+	mux          *http.ServeMux
+	reg          *obs.Registry
+	traces       *span.Recorder
+	slowTraces   *span.SlowRecorder
 }
 
-// NewServer builds the API around a bare controller. capacity and
-// pol are echoed by /v1/config (the scheduler does not expose the
-// capacities). The server creates its own metrics registry (see Metrics).
+// NewServer builds the API around a bare controller. capacity is echoed
+// by /v1/config (the scheduler does not expose the capacities). pol is the
+// controller's boot policy; every policy read comes from the backend
+// itself, so this and the other constructors take it only to keep their
+// call sites stable. The server creates its own metrics registry (see
+// Metrics).
 func NewServer(sc *scheduler.Scheduler, capacity []float64, pol policy.Policy) *Server {
-	return newServer(schedulerBackend{sc: sc}, obs.NewRegistry(), capacity, pol)
+	return newServer(schedulerBackend{sc: sc}, obs.NewRegistry(), capacity)
 }
 
 // NewEngineServer builds the API around a serving engine: mutations are
@@ -473,38 +374,28 @@ func NewServer(sc *scheduler.Scheduler, capacity []float64, pol policy.Policy) *
 // (so /v1/metrics unifies HTTP and solver telemetry); nil creates a fresh
 // one.
 func NewEngineServer(eng *serve.Engine, reg *obs.Registry, capacity []float64, pol policy.Policy) *Server {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	return newServer(eng, reg, capacity, pol)
+	return NewBackendServer(eng, reg, capacity, pol)
 }
 
 // NewBackendServer builds the API around any Backend implementation —
 // the extension point for backends beyond the bare scheduler and the
 // engine, such as a cluster read replica or the shard router's merged
-// view. Optional capabilities (ReadyChecker, Versioned, ExternalWeighter,
-// PolicyController) are discovered by interface assertion. nil reg
-// creates a fresh registry.
+// view. Optional capabilities (ReadyChecker, Versioned, PhaseReporter)
+// are discovered by interface assertion. nil reg creates a fresh
+// registry.
 func NewBackendServer(be Backend, reg *obs.Registry, capacity []float64, pol policy.Policy) *Server {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return newServer(be, reg, capacity, pol)
+	return newServer(be, reg, capacity)
 }
 
-func newServer(be Backend, reg *obs.Registry, capacity []float64, pol policy.Policy) *Server {
-	name := ""
-	if pol != nil {
-		name = pol.Name()
-	}
+func newServer(be Backend, reg *obs.Registry, capacity []float64) *Server {
 	s := &Server{
-		sc: be,
-		cfg: ConfigResponse{
-			SiteCapacity: append([]float64(nil), capacity...),
-			Policy:       name,
-		},
-		mux: http.NewServeMux(),
-		reg: reg,
+		sc:           be,
+		siteCapacity: append([]float64(nil), capacity...),
+		mux:          http.NewServeMux(),
+		reg:          reg,
 	}
 	s.route("GET /v1/healthz", s.handleHealthz)
 	s.route("GET /v1/readyz", s.handleReadyz)
@@ -618,6 +509,31 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, StatusFor(code), errorResponse{Error: err.Error(), Code: code})
 }
 
+// writeInvalid answers 400 invalid_argument with msg.
+func writeInvalid(w http.ResponseWriter, msg string) {
+	writeJSON(w, http.StatusBadRequest, errorResponse{Error: msg, Code: CodeInvalidArgument})
+}
+
+// decode reads the JSON request body into v, answering the decode error
+// (400 invalid_argument) and reporting false when it fails.
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		writeError(w, err)
+		return false
+	}
+	return true
+}
+
+// apply submits one decoded mutation to the backend and answers status
+// with resp on success or the backend's error otherwise.
+func (s *Server) apply(w http.ResponseWriter, r *http.Request, m wal.Mutation, status int, resp any) {
+	if _, err := s.sc.Apply(r.Context(), m); err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, status, resp)
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -655,22 +571,11 @@ type ExternalWeightRequest struct {
 }
 
 func (s *Server) handleExternalWeight(w http.ResponseWriter, r *http.Request) {
-	ew, ok := s.sc.(ExternalWeighter)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "backend does not support external weight", Code: CodeInvalidArgument})
-		return
-	}
 	var req ExternalWeightRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, err)
-		return
+	if decode(w, r, &req) {
+		s.apply(w, r, wal.Mutation{Op: wal.OpExternalWeight, Weight: req.Weight},
+			http.StatusOK, map[string]string{"status": "updated"})
 	}
-	if err := ew.SetExternalWeight(r.Context(), req.Weight); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "updated"})
 }
 
 // ApproxConfigRequest retunes the solver's approximate water-filling
@@ -689,83 +594,49 @@ type ApproxConfigResponse struct {
 }
 
 // handlePutApproxConfig is the deprecated alias of
-// PATCH /v1/config {"solver": ...}: same wire shape as always, routed
-// through the unified (logged, atomic) config application when the
-// backend provides it, and advertising the successor endpoint via the
-// Deprecation/Link headers.
+// PATCH /v1/config {"solver": ...}: same wire shape as always, decoded
+// onto the same logged OpSetConfig mutation, and advertising the
+// successor endpoint via the Deprecation/Link headers.
 func (s *Server) handlePutApproxConfig(w http.ResponseWriter, r *http.Request) {
 	setDeprecatedAlias(w)
-	ac, ok := s.sc.(ApproxConfigurer)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "backend does not support approximation tuning", Code: CodeInvalidArgument})
-		return
-	}
 	var req ApproxConfigRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		// NaN cannot ride JSON, so a NaN epsilon surfaces here as a
-		// decode failure — already an invalid_argument via writeError.
-		writeError(w, err)
+	// NaN cannot ride JSON, so a NaN epsilon surfaces as a decode failure —
+	// already an invalid_argument.
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.Epsilon < 0 || math.IsInf(req.Epsilon, 0) || math.IsNaN(req.Epsilon) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "epsilon must be a finite non-negative fraction", Code: CodeInvalidArgument})
+		writeInvalid(w, "epsilon must be a finite non-negative fraction")
 		return
 	}
 	if req.Threshold < 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "threshold must be non-negative", Code: CodeInvalidArgument})
+		writeInvalid(w, "threshold must be non-negative")
 		return
 	}
-	err := error(nil)
-	if cp, ok := s.sc.(ConfigPatcher); ok {
-		err = cp.ApplyConfig(r.Context(), scheduler.ConfigPatch{
-			ApproxEpsilon: &req.Epsilon, ApproxThreshold: &req.Threshold})
-	} else {
-		err = ac.SetApproxConfig(r.Context(), req.Epsilon, req.Threshold)
-	}
+	s.apply(w, r, wal.Mutation{Op: wal.OpSetConfig, Config: &scheduler.ConfigPatch{
+		ApproxEpsilon: &req.Epsilon, ApproxThreshold: &req.Threshold}},
+		http.StatusOK, map[string]string{"status": "updated"})
+}
+
+// handleGetApproxConfig is the deprecated read alias: the solver section
+// of GET /v1/config.
+func (s *Server) handleGetApproxConfig(w http.ResponseWriter, r *http.Request) {
+	setDeprecatedAlias(w)
+	rc, err := s.sc.RuntimeConfig(r.Context())
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "updated"})
-}
-
-func (s *Server) handleGetApproxConfig(w http.ResponseWriter, r *http.Request) {
-	setDeprecatedAlias(w)
-	ac, ok := s.sc.(ApproxConfigurer)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "backend does not support approximation tuning", Code: CodeInvalidArgument})
-		return
-	}
-	eps, threshold := ac.ApproxConfig()
-	writeJSON(w, http.StatusOK, ApproxConfigResponse{Epsilon: eps, Threshold: threshold})
+	writeJSON(w, http.StatusOK, ApproxConfigResponse{Epsilon: rc.ApproxEpsilon, Threshold: rc.ApproxThreshold})
 }
 
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
-	if cp, ok := s.sc.(ConfigPatcher); ok {
-		doc, err := s.configDoc(r.Context(), cp)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, doc)
+	doc, err := s.configDoc(r.Context())
+	if err != nil {
+		writeError(w, err)
 		return
 	}
-	cfg := s.cfg
-	cfg.Policy = s.policyName()
-	writeJSON(w, http.StatusOK, cfg)
-}
-
-// policyName reports the backend's live policy when it exposes one
-// (PolicyController), else the constructor-time echo.
-func (s *Server) policyName() string {
-	if pc, ok := s.sc.(PolicyController); ok {
-		return pc.PolicyName()
-	}
-	return s.cfg.Policy
+	writeJSON(w, http.StatusOK, doc)
 }
 
 // PolicyRequest switches the active fairness policy by wire name.
@@ -782,68 +653,45 @@ type PolicyResponse struct {
 
 func (s *Server) handleGetPolicy(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, PolicyResponse{
-		Policy:    s.policyName(),
+		Policy:    s.sc.PolicyName(),
 		Available: policy.Names(),
 	})
 }
 
 // handlePutPolicy is the deprecated alias of
-// PATCH /v1/config {"policy": ...}: same wire shape as always, routed
-// through the unified (logged, atomic) config application when the
-// backend provides it, and advertising the successor endpoint via the
-// Deprecation/Link headers.
+// PATCH /v1/config {"policy": ...}: same wire shape as always, decoded
+// onto the same logged OpSetConfig mutation, and advertising the
+// successor endpoint via the Deprecation/Link headers.
 func (s *Server) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 	setDeprecatedAlias(w)
-	pc, ok := s.sc.(PolicyController)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "backend does not support policy switching", Code: CodeInvalidArgument})
-		return
-	}
 	var req PolicyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.Policy == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "policy name required", Code: CodeInvalidArgument})
+		writeInvalid(w, "policy name required")
 		return
 	}
-	err := error(nil)
-	if cp, ok := s.sc.(ConfigPatcher); ok {
-		err = cp.ApplyConfig(r.Context(), scheduler.ConfigPatch{Policy: &req.Policy})
-	} else {
-		err = pc.SetPolicy(r.Context(), req.Policy)
-	}
-	if err != nil {
+	m := wal.Mutation{Op: wal.OpSetConfig, Config: &scheduler.ConfigPatch{Policy: &req.Policy}}
+	if _, err := s.sc.Apply(r.Context(), m); err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, PolicyResponse{Policy: pc.PolicyName()})
+	writeJSON(w, http.StatusOK, PolicyResponse{Policy: s.sc.PolicyName()})
 }
 
 func (s *Server) handleAddJob(w http.ResponseWriter, r *http.Request) {
 	var req AddJobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.ID == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "job id required", Code: CodeInvalidArgument})
+		writeInvalid(w, "job id required")
 		return
 	}
-	var err error
-	if req.Queue != "" {
-		err = s.sc.AddJobInQueue(r.Context(), req.Queue, req.ID, req.Weight, req.Demand, req.Work)
-	} else {
-		err = s.sc.AddJob(r.Context(), req.ID, req.Weight, req.Demand, req.Work)
-	}
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"id": req.ID})
+	s.apply(w, r, wal.Mutation{Op: wal.OpAddJob, ID: req.ID, Queue: req.Queue,
+		Weight: req.Weight, Demand: req.Demand, Work: req.Work},
+		http.StatusCreated, map[string]string{"id": req.ID})
 }
 
 // handleAddJobsBatch registers the whole set atomically through one
@@ -853,19 +701,18 @@ func (s *Server) handleAddJob(w http.ResponseWriter, r *http.Request) {
 // offending entries without re-submitting blind.
 func (s *Server) handleAddJobsBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchAddRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	if len(req.Jobs) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "jobs required", Code: CodeInvalidArgument})
+		writeInvalid(w, "jobs required")
 		return
 	}
 	specs := make([]scheduler.JobSpec, len(req.Jobs))
 	for i, j := range req.Jobs {
 		specs[i] = j.spec()
 	}
-	err := s.sc.AddJobs(r.Context(), specs)
+	_, err := s.sc.Apply(r.Context(), wal.Mutation{Op: wal.OpAddJobs, Jobs: specs})
 	resp := BatchAddResponse{Results: make([]BatchItemResult, len(req.Jobs))}
 	for i, j := range req.Jobs {
 		resp.Results[i] = BatchItemResult{ID: j.ID}
@@ -898,32 +745,23 @@ func (s *Server) handleAddJobsBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAddQueue(w http.ResponseWriter, r *http.Request) {
 	var req AddQueueRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, err)
-		return
+	if decode(w, r, &req) {
+		s.apply(w, r, wal.Mutation{Op: wal.OpAddQueue, ID: req.Name, Weight: req.Weight},
+			http.StatusCreated, map[string]string{"name": req.Name})
 	}
-	if err := s.sc.AddQueue(r.Context(), req.Name, req.Weight); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"name": req.Name})
 }
 
 func (s *Server) handleRemoveJob(w http.ResponseWriter, r *http.Request) {
-	if err := s.sc.RemoveJob(r.Context(), r.PathValue("id")); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "removed"})
+	s.apply(w, r, wal.Mutation{Op: wal.OpRemoveJob, ID: r.PathValue("id")},
+		http.StatusOK, map[string]string{"status": "removed"})
 }
 
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	var req ProgressRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, err)
+	if !decode(w, r, &req) {
 		return
 	}
-	done, err := s.sc.ReportProgress(r.Context(), r.PathValue("id"), req.Done)
+	done, err := s.sc.Apply(r.Context(), wal.Mutation{Op: wal.OpProgress, ID: r.PathValue("id"), Done: req.Done})
 	if err != nil {
 		writeError(w, err)
 		return
@@ -938,15 +776,10 @@ type WeightRequest struct {
 
 func (s *Server) handleWeight(w http.ResponseWriter, r *http.Request) {
 	var req WeightRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, err)
-		return
+	if decode(w, r, &req) {
+		s.apply(w, r, wal.Mutation{Op: wal.OpWeight, ID: r.PathValue("id"), Weight: req.Weight},
+			http.StatusOK, map[string]string{"status": "updated"})
 	}
-	if err := s.sc.UpdateWeight(r.Context(), r.PathValue("id"), req.Weight); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "updated"})
 }
 
 func (s *Server) handleShares(w http.ResponseWriter, r *http.Request) {
@@ -985,7 +818,7 @@ func (s *Server) handleAllocation(w http.ResponseWriter, r *http.Request) {
 	if pr, ok := s.sc.(PhaseReporter); ok {
 		resp.PhaseLag, resp.HotComponents = pr.PhaseInfo()
 	}
-	resp.Policy = s.policyName()
+	resp.Policy = s.sc.PolicyName()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -995,22 +828,17 @@ func (s *Server) handleGetSnapshot(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 	var snap scheduler.Snapshot
-	if err := json.NewDecoder(r.Body).Decode(&snap); err != nil {
-		writeError(w, err)
-		return
+	if decode(w, r, &snap) {
+		s.apply(w, r, wal.Mutation{Op: wal.OpRestore, State: &snap},
+			http.StatusOK, map[string]string{"status": "restored"})
 	}
-	if err := s.sc.Restore(r.Context(), snap); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "restored"})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.sc.Stats()
 	snap := s.reg.Snapshot()
 	writeJSON(w, http.StatusOK, StatsResponse{
-		Policy: s.policyName(),
+		Policy: s.sc.PolicyName(),
 		Solves: st.Solves, Skipped: st.Skipped, Jobs: st.Jobs, Completed: st.Completed,
 		LastSolveSeconds:    st.LastSolve.Seconds(),
 		TotalSolveSeconds:   st.TotalSolveTime.Seconds(),
@@ -1071,8 +899,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{
-				Error: "limit must be a non-negative integer", Code: CodeInvalidArgument})
+			writeInvalid(w, "limit must be a non-negative integer")
 			return
 		}
 		limit = n
@@ -1120,14 +947,8 @@ type ExplainResponse struct {
 // GET /v1/explain dumps the full water-filling evidence,
 // GET /v1/explain?job=<name> one job's row (404 for unknown jobs).
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	ex, ok := s.sc.(Explainer)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "backend does not support allocation explanations", Code: CodeInvalidArgument})
-		return
-	}
 	job := r.URL.Query().Get("job")
-	res, err := ex.Explain(r.Context(), job)
+	res, err := s.sc.Explain(r.Context(), job)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"repro/internal/api"
@@ -210,5 +211,148 @@ func TestRouterConfigOverHTTPShards(t *testing.T) {
 	}
 	if rc.Policy != "amf-enhanced" || rc.Phase.MaxBatches != 4 {
 		t.Fatalf("router merged config over HTTP %+v", rc)
+	}
+}
+
+// TestRouterDeprecatedPolicyAliasesSwitchEveryShard is the regression for
+// a router that kept reporting its boot policy after a runtime switch and
+// refused the deprecated aliases. A PATCH through cluster.NewHandler must
+// show in every policy read, and PUT /v1/policy and PUT /v1/solver/approx
+// must leave every shard exactly where the equivalent PATCH leaves it.
+func TestRouterDeprecatedPolicyAliasesSwitchEveryShard(t *testing.T) {
+	caps := []float64{1, 1, 1, 1}
+	s0, s1 := splitSites(t, len(caps))
+	ctx := context.Background()
+	newCluster := func() (*api.Client, []*scheduler.Scheduler) {
+		shards, scs := newEngineShards(t, 2, caps, policy.EnhancedAMF)
+		r, err := cluster.NewRouter(shards, policy.EnhancedAMF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := httptest.NewServer(cluster.NewHandler(r, nil, caps, policy.EnhancedAMF))
+		t.Cleanup(front.Close)
+		cl := api.NewClient(front.URL, front.Client())
+		if err := cl.AddJob(ctx, api.AddJobRequest{ID: "a", Weight: 2, Demand: demandAt(len(caps), s0)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.AddJob(ctx, api.AddJobRequest{ID: "b", Weight: 4, Demand: demandAt(len(caps), s1)}); err != nil {
+			t.Fatal(err)
+		}
+		return cl, scs
+	}
+	reportsPolicy := func(cl *api.Client, scs []*scheduler.Scheduler, want string) {
+		t.Helper()
+		alloc, err := cl.Allocation(ctx)
+		if err != nil || alloc.Policy != want {
+			t.Fatalf("GET /v1/allocation policy = %q, %v; want %q", alloc.Policy, err, want)
+		}
+		st, err := cl.Stats(ctx)
+		if err != nil || st.Policy != want {
+			t.Fatalf("GET /v1/stats policy = %q, %v; want %q", st.Policy, err, want)
+		}
+		pr, err := cl.Policy(ctx)
+		if err != nil || pr.Policy != want {
+			t.Fatalf("GET /v1/policy = %q, %v; want %q", pr.Policy, err, want)
+		}
+		doc, err := cl.Config(ctx)
+		if err != nil || doc.Policy != want {
+			t.Fatalf("GET /v1/config policy = %q, %v; want %q", doc.Policy, err, want)
+		}
+		for i, sc := range scs {
+			if got := sc.PolicyName(); got != want {
+				t.Fatalf("shard %d policy %q, want %q", i, got, want)
+			}
+		}
+	}
+
+	viaAlias, aliasScs := newCluster()
+	viaPatch, patchScs := newCluster()
+	for _, cl := range []*api.Client{viaAlias, viaPatch} {
+		if _, err := cl.SetConfig(ctx, api.ConfigPatchRequest{Policy: sptr("amf")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reportsPolicy(viaAlias, aliasScs, "amf")
+
+	// Back to Enhanced-AMF, then retune the approximate solver: through
+	// the aliases on one cluster, through PATCH on the other.
+	if err := viaAlias.SetPolicy(ctx, "amf-enhanced"); err != nil {
+		t.Fatalf("PUT /v1/policy through the router: %v", err)
+	}
+	if err := viaAlias.SetApproxConfig(ctx, 0.02, 100); err != nil {
+		t.Fatalf("PUT /v1/solver/approx through the router: %v", err)
+	}
+	if _, err := viaPatch.SetConfig(ctx, api.ConfigPatchRequest{Policy: sptr("amf-enhanced")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := viaPatch.SetConfig(ctx, api.ConfigPatchRequest{
+		Solver: &api.SolverPatchSection{ApproxEpsilon: fptr(0.02), ApproxThreshold: iptr(100)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	reportsPolicy(viaAlias, aliasScs, "amf-enhanced")
+	reportsPolicy(viaPatch, patchScs, "amf-enhanced")
+	for i := range aliasScs {
+		a, p := aliasScs[i], patchScs[i]
+		if a.RuntimeConfig() != p.RuntimeConfig() {
+			t.Fatalf("shard %d config via aliases %+v, via PATCH %+v", i, a.RuntimeConfig(), p.RuntimeConfig())
+		}
+		if a.ExternalWeight() != p.ExternalWeight() {
+			t.Fatalf("shard %d external weight via aliases %g, via PATCH %g", i, a.ExternalWeight(), p.ExternalWeight())
+		}
+	}
+	if rc := aliasScs[0].RuntimeConfig(); rc.ApproxEpsilon != 0.02 || rc.ApproxThreshold != 100 {
+		t.Fatalf("approx alias did not reach the shards: %+v", rc)
+	}
+	got, err := viaAlias.ApproxConfig(ctx)
+	if err != nil || got.Epsilon != 0.02 || got.Threshold != 100 {
+		t.Fatalf("GET /v1/solver/approx through the router = %+v, %v", got, err)
+	}
+}
+
+// TestRouterConfigPolicyReadsDuringSwitch reads the router's policy name
+// from several goroutines while policy patches roll across the shards:
+// the lock-free read must always see one of the two policies (run under
+// -race).
+func TestRouterConfigPolicyReadsDuringSwitch(t *testing.T) {
+	shards, _ := newEngineShards(t, 2, []float64{1, 1, 1, 1}, policy.AMF)
+	r, err := cluster.NewRouter(shards, policy.AMF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if name := r.PolicyName(); name != "amf" && name != "amf-enhanced" {
+					t.Errorf("policy read %q mid-switch", name)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 10; i++ {
+		name := "amf-enhanced"
+		if i%2 == 1 {
+			name = "amf"
+		}
+		if err := r.ApplyConfig(ctx, scheduler.ConfigPatch{Policy: &name}); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := r.PolicyName(); got != "amf" {
+		t.Fatalf("policy after the last switch %q, want amf", got)
 	}
 }

@@ -76,7 +76,7 @@ type ReplicaView struct {
 // stale-bounded state: every acknowledged batch is replayed through a
 // local scheduler (deterministically — see wal.Mutation.Apply and
 // TestReplayDeterminism) and published as a lock-free RCU snapshot.
-// It implements api.Backend (mutations return ErrReadOnly), so
+// It implements api.Backend (Apply returns ErrReadOnly), so
 // api.NewBackendServer turns it into a read endpoint with /v1/readyz
 // reporting catch-up.
 type Replica struct {
@@ -234,7 +234,7 @@ func (r *Replica) syncOnce(cur wal.Cursor, version uint64) (wal.Cursor, uint64, 
 			t0 = time.Now()
 			var applyErr error
 			for _, m := range ms {
-				if err := m.Apply(r.sc); err != nil {
+				if _, err := m.Apply(r.sc); err != nil {
 					r.cApplyFailed.Inc()
 					applyErr = err
 				} else {
@@ -316,7 +316,7 @@ func (r *Replica) Metrics() *obs.Registry { return r.reg }
 func (r *Replica) Traces() *span.Recorder { return r.traces }
 
 // Explain derives the water-filling explanation from the replica's
-// replayed job set (api.Explainer): same evidence as the primary, bounded
+// replayed job set: same evidence as the primary, bounded
 // by the replica's staleness. Unavailable (ErrSyncing) before the first
 // published view.
 func (r *Replica) Explain(ctx context.Context, job string) (*serve.ExplainResult, error) {
@@ -370,29 +370,9 @@ func (r *Replica) SnapshotVersion() uint64 {
 
 // --- api.Backend: reads served from the RCU view, mutations rejected ---
 
-func (r *Replica) AddJob(ctx context.Context, id string, weight float64, demand, work []float64) error {
-	return ErrReadOnly
-}
-
-func (r *Replica) AddJobInQueue(ctx context.Context, queue, id string, weight float64, demand, work []float64) error {
-	return ErrReadOnly
-}
-
-func (r *Replica) AddJobs(ctx context.Context, specs []scheduler.JobSpec) error { return ErrReadOnly }
-
-func (r *Replica) AddQueue(ctx context.Context, name string, weight float64) error {
-	return ErrReadOnly
-}
-
-func (r *Replica) RemoveJob(ctx context.Context, id string) error { return ErrReadOnly }
-
-func (r *Replica) ReportProgress(ctx context.Context, id string, done []float64) (bool, error) {
-	return false, ErrReadOnly
-}
-
-func (r *Replica) UpdateWeight(ctx context.Context, id string, weight float64) error {
-	return ErrReadOnly
-}
+// Apply rejects every mutation: the replica only replays its primary's
+// WAL.
+func (r *Replica) Apply(context.Context, wal.Mutation) (bool, error) { return false, ErrReadOnly }
 
 func (r *Replica) Shares(ctx context.Context, id string) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
@@ -421,16 +401,22 @@ func (r *Replica) Allocation(ctx context.Context) (map[string][]float64, error) 
 }
 
 // PolicyName reports the replica's active fairness policy — it follows
-// the primary through replayed OpSetPolicy records (api.PolicyController
-// read side).
+// the primary through replayed policy switches and config patches.
 func (r *Replica) PolicyName() string { return r.sc.PolicyName() }
 
-// SetPolicy is rejected: the replica follows the primary's policy through
-// the WAL (api.PolicyController write side, read-only here).
-func (r *Replica) SetPolicy(ctx context.Context, name string) error { return ErrReadOnly }
+// RuntimeConfig reports the runtime-tuning document of the replayed
+// scheduler: the primary's config as of the replica's cursor.
+// Unavailable (ErrSyncing) before the first published view.
+func (r *Replica) RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, error) {
+	if err := ctx.Err(); err != nil {
+		return scheduler.RuntimeConfig{}, err
+	}
+	if r.view.Load() == nil {
+		return scheduler.RuntimeConfig{}, ErrSyncing
+	}
+	return r.sc.RuntimeConfig(), nil
+}
 
 func (r *Replica) Stats() scheduler.Stats { return r.sc.Stats() }
 
 func (r *Replica) Snapshot() scheduler.Snapshot { return r.sc.Snapshot() }
-
-func (r *Replica) Restore(ctx context.Context, snap scheduler.Snapshot) error { return ErrReadOnly }

@@ -2,18 +2,21 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/cluster"
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/policy"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -154,7 +157,7 @@ func TestReplicaResetFromSnapshot(t *testing.T) {
 	appendBatch := func(ms ...wal.Mutation) {
 		t.Helper()
 		for _, m := range ms {
-			if err := m.Apply(primary); err != nil {
+			if _, err := m.Apply(primary); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -282,4 +285,122 @@ func TestReplicaAPISurface(t *testing.T) {
 	if err := cl.RemoveJob(ctx, "a"); !errors.Is(err, api.ErrInvalidArgument) {
 		t.Fatalf("remove on replica = %v, want invalid_argument", err)
 	}
+}
+
+// expectInvalid sends one raw request and requires the 400
+// invalid_argument answer.
+func expectInvalid(t *testing.T, base, method, path, body string) {
+	t.Helper()
+	req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct{ Code string }
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("%s %s: decoding error body: %v", method, path, err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || e.Code != api.CodeInvalidArgument {
+		t.Fatalf("%s %s = %d %q, want 400 %q", method, path, resp.StatusCode, e.Code, api.CodeInvalidArgument)
+	}
+}
+
+// TestReplicaRejectsEveryMutation covers the read-only surfaces op kind by
+// op kind: Replica.Apply refuses every WAL op, every mutating route of a
+// replica's API answers 400 invalid_argument, and so do the router's
+// refusals of queues, restores and external weights.
+func TestReplicaRejectsEveryMutation(t *testing.T) {
+	caps := []float64{2, 2}
+	ctx := context.Background()
+	log, _, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	sc, err := scheduler.New(scheduler.Config{SiteCapacity: caps, Policy: policy.AMF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := serve.New(sc, serve.Config{Log: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.AddJob(ctx, "a", 1, []float64{1, 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	ship := httptest.NewServer(wal.NewShipHandler(log))
+	defer ship.Close()
+	rep, err := cluster.NewReplica(cluster.ReplicaConfig{
+		Source:       &wal.ShipClient{Base: ship.URL, HTTP: ship.Client()},
+		SiteCapacity: caps,
+		Policy:       policy.AMF,
+		Interval:     2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	waitCaughtUpTo(t, rep, log.Durable())
+
+	t.Run("apply", func(t *testing.T) {
+		for _, op := range []string{
+			wal.OpAddJob, wal.OpAddJobs, wal.OpAddQueue, wal.OpRemoveJob, wal.OpProgress,
+			wal.OpWeight, wal.OpRestore, wal.OpExternalWeight, wal.OpSetPolicy, wal.OpSetConfig,
+		} {
+			if _, err := rep.Apply(ctx, wal.Mutation{Op: op, ID: "a"}); !errors.Is(err, cluster.ErrReadOnly) {
+				t.Errorf("Replica.Apply(%s) = %v, want ErrReadOnly", op, err)
+			}
+		}
+	})
+
+	mutating := []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/jobs", `{"id":"x","demand":[1,0]}`},
+		{http.MethodPost, "/v1/jobs:batch", `{"jobs":[{"id":"x","demand":[1,0]}]}`},
+		{http.MethodPost, "/v1/queues", `{"name":"q","weight":2}`},
+		{http.MethodDelete, "/v1/jobs/a", ``},
+		{http.MethodPost, "/v1/jobs/a/progress", `{"done":[0.1,0]}`},
+		{http.MethodPut, "/v1/jobs/a/weight", `{"weight":2}`},
+		{http.MethodPut, "/v1/snapshot", `{}`},
+		{http.MethodPatch, "/v1/config", `{"policy":"amf"}`},
+		{http.MethodPut, "/v1/policy", `{"policy":"amf"}`},
+		{http.MethodPut, "/v1/solver/approx", `{"epsilon":0.01,"threshold":10}`},
+		{http.MethodPut, "/v1/cluster/external-weight", `{"weight":1}`},
+	}
+	t.Run("replica-http", func(t *testing.T) {
+		srv := httptest.NewServer(api.NewBackendServer(rep, nil, caps, policy.AMF).Handler())
+		defer srv.Close()
+		for _, m := range mutating {
+			expectInvalid(t, srv.URL, m.method, m.path, m.body)
+		}
+		// Reads still serve the replayed state, config included.
+		cl := api.NewClient(srv.URL, srv.Client())
+		doc, err := cl.Config(ctx)
+		if err != nil || doc.Policy != "amf" || doc.Solver == nil || doc.Phase == nil {
+			t.Fatalf("replica GET /v1/config = %+v, %v", doc, err)
+		}
+	})
+
+	t.Run("router-http", func(t *testing.T) {
+		shards, _ := newEngineShards(t, 2, caps, policy.AMF)
+		r, err := cluster.NewRouter(shards, policy.AMF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(cluster.NewHandler(r, nil, caps, policy.AMF))
+		defer srv.Close()
+		for _, m := range []struct{ method, path, body string }{
+			{http.MethodPost, "/v1/queues", `{"name":"q","weight":2}`},
+			{http.MethodPost, "/v1/jobs", `{"id":"x","queue":"q","demand":[1,0]}`},
+			{http.MethodPost, "/v1/jobs:batch", `{"jobs":[{"id":"x","queue":"q","demand":[1,0]}]}`},
+			{http.MethodPut, "/v1/snapshot", `{}`},
+			{http.MethodPut, "/v1/cluster/external-weight", `{"weight":1}`},
+		} {
+			expectInvalid(t, srv.URL, m.method, m.path, m.body)
+		}
+	})
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
+	"repro/internal/wal"
 )
 
 // Stable cluster errors. The API layer maps them through api.CodeFor's
@@ -35,6 +36,10 @@ var (
 	// ErrRestoreUnsupported rejects restore-through-the-router; restore
 	// shards individually instead.
 	ErrRestoreUnsupported = errors.New("cluster: restore through the router is unsupported; restore shards directly")
+	// ErrExternalWeightUnsupported rejects an external-weight write
+	// addressed to the router: the router computes every shard's external
+	// weight from its own ledger.
+	ErrExternalWeightUnsupported = errors.New("cluster: the router derives external weights itself; they cannot be set through it")
 	// ErrPolicyMismatch rejects assembling a cluster whose shards disagree
 	// with the router (and hence each other) on the fairness policy: a
 	// merged allocation under mixed disciplines is meaningless, and the
@@ -90,8 +95,11 @@ type RouterStats struct {
 // single sequencer that keeps site ownership and the weight ledger
 // consistent with what the shards have durably applied.
 type Router struct {
-	shards   []Shard
-	polName  string
+	shards []Shard
+	// polName is the cluster's policy wire name. Writes happen under mu;
+	// PolicyName loads it without the lock, so allocation and stats reads
+	// never wait behind a routed write's shard commit.
+	polName  atomic.Pointer[string]
 	enhanced bool
 
 	// reg receives the router's own observability families: per-op fan-out
@@ -141,9 +149,8 @@ func NewRouter(shards []Shard, pol policy.Policy) (*Router, error) {
 	if pol == nil {
 		return nil, fmt.Errorf("cluster: router needs a policy")
 	}
-	return &Router{
+	r := &Router{
 		shards:    shards,
-		polName:   pol.Name(),
 		enhanced:  pol.Capabilities().GlobalWeightFloors,
 		siteOwner: map[int]int{},
 		siteRef:   map[int]int{},
@@ -151,7 +158,10 @@ func NewRouter(shards []Shard, pol policy.Policy) (*Router, error) {
 		jobSites:  map[string][]int{},
 		jobWeight: map[string]float64{},
 		shardWt:   make([]float64, len(shards)),
-	}, nil
+	}
+	name := pol.Name()
+	r.polName.Store(&name)
+	return r, nil
 }
 
 // NumShards reports the cluster size.
@@ -238,26 +248,21 @@ func (r *Router) finishOp(tb *span.Builder, err error) {
 
 // PolicyName reports the fairness policy the cluster runs — the router's
 // configured policy, which SyncFromShards verifies every shard agrees
-// with. The router deliberately does NOT implement bespoke runtime
-// switching (api.PolicyController); a cluster-wide switch goes through
-// the unified config surface (ApplyConfig), which refuses to start from
-// a mixed cluster and rolls the change across every shard.
-func (r *Router) PolicyName() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.polName
-}
+// with. A cluster-wide switch goes through ApplyConfig, which refuses to
+// start from a mixed cluster and rolls the change across every shard.
+func (r *Router) PolicyName() string { return *r.polName.Load() }
 
 // checkShardPoliciesLocked verifies every shard runs the router's policy.
 func (r *Router) checkShardPoliciesLocked(ctx context.Context) error {
+	want := r.PolicyName()
 	for i, sh := range r.shards {
-		name, err := sh.PolicyName(ctx)
+		rc, err := sh.RuntimeConfig(ctx)
 		if err != nil {
 			return fmt.Errorf("cluster: policy from shard %d: %w", i, err)
 		}
-		if name != r.polName {
+		if rc.Policy != want {
 			return fmt.Errorf("%w: shard %d runs %q, router expects %q",
-				ErrPolicyMismatch, i, name, r.polName)
+				ErrPolicyMismatch, i, rc.Policy, want)
 		}
 	}
 	return nil
@@ -351,10 +356,18 @@ func (r *Router) reconcileLocked(ctx context.Context, dirty int, delta float64) 
 	}
 	start := time.Now()
 	defer func() { r.observeFanout("weight_broadcast", start) }()
+	// A failed broadcast leaves that shard's floors stale until the next
+	// reconcile; the mutation itself already committed on the dirty shard.
+	return r.broadcastLocked(ctx, dirty)
+}
+
+// broadcastLocked sends every shard but skip (-1: none) its external
+// weight W − W_shard from the ledger, returning the first failure.
+func (r *Router) broadcastLocked(ctx context.Context, skip int) error {
 	r.broadcastVersion.Add(1)
 	var firstErr error
 	for i, sh := range r.shards {
-		if i == dirty {
+		if i == skip {
 			continue
 		}
 		ext := r.weightSum - r.shardWt[i]
@@ -363,7 +376,7 @@ func (r *Router) reconcileLocked(ctx context.Context, dirty int, delta float64) 
 			// scheduler would reject.
 			ext = 0
 		}
-		if err := sh.SetExternalWeight(ctx, ext); err != nil {
+		if _, err := sh.Apply(ctx, wal.Mutation{Op: wal.OpExternalWeight, Weight: ext}); err != nil {
 			r.countShardError(i)
 			if firstErr == nil {
 				firstErr = fmt.Errorf("cluster: weight broadcast to shard %d: %w", i, err)
@@ -371,9 +384,44 @@ func (r *Router) reconcileLocked(ctx context.Context, dirty int, delta float64) 
 		}
 		r.broadcasts.Add(1)
 	}
-	// A failed broadcast leaves that shard's floors stale until the next
-	// reconcile; the mutation itself already committed on the dirty shard.
 	return firstErr
+}
+
+// Apply routes one mutation (api.Backend) through the per-op methods
+// below: job mutations go to the owning shard, policy switches and config
+// patches roll across every shard. Queues, restores and external weights
+// have no cluster-wide meaning and are refused.
+func (r *Router) Apply(ctx context.Context, m wal.Mutation) (bool, error) {
+	switch m.Op {
+	case wal.OpAddJob:
+		if m.Queue != "" {
+			return false, ErrQueuesUnsupported
+		}
+		return false, r.AddJob(ctx, m.ID, m.Weight, m.Demand, m.Work)
+	case wal.OpAddJobs:
+		return false, r.AddJobs(ctx, m.Jobs)
+	case wal.OpRemoveJob:
+		return false, r.RemoveJob(ctx, m.ID)
+	case wal.OpProgress:
+		return r.ReportProgress(ctx, m.ID, m.Done)
+	case wal.OpWeight:
+		return false, r.UpdateWeight(ctx, m.ID, m.Weight)
+	case wal.OpSetPolicy:
+		return false, r.ApplyConfig(ctx, scheduler.ConfigPatch{Policy: &m.Policy})
+	case wal.OpSetConfig:
+		if m.Config == nil {
+			return false, wal.ErrNoConfig
+		}
+		return false, r.ApplyConfig(ctx, *m.Config)
+	case wal.OpAddQueue:
+		return false, ErrQueuesUnsupported
+	case wal.OpRestore:
+		return false, ErrRestoreUnsupported
+	case wal.OpExternalWeight:
+		return false, ErrExternalWeightUnsupported
+	default:
+		return false, fmt.Errorf("cluster: unknown mutation op %q", m.Op)
+	}
 }
 
 // AddJob routes and registers one job.
@@ -393,7 +441,7 @@ func (r *Router) AddJob(ctx context.Context, id string, weight float64, demand, 
 		return err
 	}
 	t0 = time.Now()
-	err = r.shards[shard].AddJob(ctx, id, weight, demand, work)
+	_, err = r.shards[shard].Apply(ctx, wal.Mutation{Op: wal.OpAddJob, ID: id, Weight: weight, Demand: demand, Work: work})
 	mark(tb, "shard_commit", t0)
 	if err != nil {
 		r.countShardError(shard)
@@ -404,16 +452,6 @@ func (r *Router) AddJob(ctx context.Context, id string, weight float64, demand, 
 	err = r.reconcileLocked(ctx, shard, delta)
 	mark(tb, "weight_broadcast", t0)
 	return err
-}
-
-// AddJobInQueue is unsupported in cluster mode.
-func (r *Router) AddJobInQueue(ctx context.Context, queue, id string, weight float64, demand, work []float64) error {
-	return ErrQueuesUnsupported
-}
-
-// AddQueue is unsupported in cluster mode.
-func (r *Router) AddQueue(ctx context.Context, name string, weight float64) error {
-	return ErrQueuesUnsupported
 }
 
 // AddJobs routes a batch. Specs are grouped by target shard and each
@@ -465,11 +503,11 @@ func (r *Router) AddJobs(ctx context.Context, specs []scheduler.JobSpec) (err er
 	t0 = time.Now()
 	applied := make([]int, 0, len(order))
 	for _, shard := range order {
-		if err := r.shards[shard].AddJobs(ctx, groups[shard]); err != nil {
+		if _, err := r.shards[shard].Apply(ctx, wal.Mutation{Op: wal.OpAddJobs, Jobs: groups[shard]}); err != nil {
 			r.countShardError(shard)
 			for _, k := range applied {
 				for _, sp := range groups[k] {
-					_ = r.shards[k].RemoveJob(ctx, sp.ID)
+					_, _ = r.shards[k].Apply(ctx, wal.Mutation{Op: wal.OpRemoveJob, ID: sp.ID})
 				}
 			}
 			mark(tb, "shard_commit", t0)
@@ -508,7 +546,7 @@ func (r *Router) RemoveJob(ctx context.Context, id string) (err error) {
 		return fmt.Errorf("%w: %q", scheduler.ErrUnknownJob, id)
 	}
 	t0 := time.Now()
-	err = r.shards[shard].RemoveJob(ctx, id)
+	_, err = r.shards[shard].Apply(ctx, wal.Mutation{Op: wal.OpRemoveJob, ID: id})
 	mark(tb, "shard_commit", t0)
 	if err != nil {
 		r.countShardError(shard)
@@ -533,7 +571,7 @@ func (r *Router) ReportProgress(ctx context.Context, id string, done []float64) 
 		return false, fmt.Errorf("%w: %q", scheduler.ErrUnknownJob, id)
 	}
 	t0 := time.Now()
-	completed, err = r.shards[shard].ReportProgress(ctx, id, done)
+	completed, err = r.shards[shard].Apply(ctx, wal.Mutation{Op: wal.OpProgress, ID: id, Done: done})
 	mark(tb, "shard_commit", t0)
 	if err != nil {
 		r.countShardError(shard)
@@ -560,7 +598,7 @@ func (r *Router) UpdateWeight(ctx context.Context, id string, weight float64) (e
 		return fmt.Errorf("%w: %q", scheduler.ErrUnknownJob, id)
 	}
 	t0 := time.Now()
-	err = r.shards[shard].UpdateWeight(ctx, id, weight)
+	_, err = r.shards[shard].Apply(ctx, wal.Mutation{Op: wal.OpWeight, ID: id, Weight: weight})
 	mark(tb, "shard_commit", t0)
 	if err != nil {
 		r.countShardError(shard)
@@ -626,7 +664,7 @@ func (r *Router) Allocation(ctx context.Context) (map[string][]float64, error) {
 }
 
 // Explain routes the explainability question to the job's owning shard
-// (api.Explainer) and labels the answer with that shard's index. Full
+// and labels the answer with that shard's index. Full
 // dumps (job "") are refused: an Explanation's job and site indexes are
 // shard-local, so a merged dump would be incoherent.
 func (r *Router) Explain(ctx context.Context, job string) (*serve.ExplainResult, error) {
@@ -707,8 +745,8 @@ func (r *Router) Stats() scheduler.Stats {
 }
 
 // Snapshot merges the shards' job sets into one diagnostic snapshot.
-// It cannot be restored through the router (see Restore); external
-// weights are shard-local and omitted.
+// It cannot be restored through the router (ErrRestoreUnsupported);
+// external weights are shard-local and omitted.
 func (r *Router) Snapshot() scheduler.Snapshot {
 	ctx, cancel := context.WithTimeout(context.Background(), readTimeout)
 	defer cancel()
@@ -721,11 +759,6 @@ func (r *Router) Snapshot() scheduler.Snapshot {
 		out.Jobs = append(out.Jobs, snap.Jobs...)
 	}
 	return out
-}
-
-// Restore is unsupported through the router.
-func (r *Router) Restore(ctx context.Context, snap scheduler.Snapshot) error {
-	return ErrRestoreUnsupported
 }
 
 // Traces returns the cluster's stitched trace forest, newest first,
@@ -982,23 +1015,11 @@ func (r *Router) SyncFromShards(ctx context.Context) error {
 	// Force a full broadcast even when W is unchanged (or zero): a
 	// restarted shard may hold a stale external weight the ΔW fast path
 	// would never repair.
-	r.broadcastVersion.Add(1)
-	var firstErr error
-	for i, sh := range r.shards {
-		ext := weightSum - shardWt[i]
-		if ext < 0 {
-			ext = 0
-		}
-		if err := sh.SetExternalWeight(ctx, ext); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: weight broadcast to shard %d: %w", i, err)
-		}
-		r.broadcasts.Add(1)
-	}
-	return firstErr
+	return r.broadcastLocked(ctx, -1)
 }
 
 // RuntimeConfig merges the shards' runtime-tuning documents into the
-// cluster's (api.ConfigPatcher read side). Every shard must report the
+// cluster's (GET /v1/config). Every shard must report the
 // identical document — a divergent shard fails the read with
 // ErrConfigMismatch rather than silently picking a winner, mirroring the
 // mixed-policy refusal.
@@ -1022,7 +1043,7 @@ func (r *Router) RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, er
 }
 
 // ApplyConfig rolls one runtime-tuning patch across every shard
-// (api.ConfigPatcher write side). It refuses to start from a mixed
+// (PATCH /v1/config and both deprecated aliases). It refuses to start from a mixed
 // cluster — the shards must already agree on the fairness policy
 // (ErrPolicyMismatch), same as assembly — and then applies the patch
 // shard by shard under the router's mutation lock; the first failure
@@ -1049,7 +1070,7 @@ func (r *Router) ApplyConfig(ctx context.Context, p scheduler.ConfigPatch) error
 		return err
 	}
 	for i, sh := range r.shards {
-		if err := sh.ApplyConfig(ctx, p); err != nil {
+		if _, err := sh.Apply(ctx, wal.Mutation{Op: wal.OpSetConfig, Config: &p}); err != nil {
 			return fmt.Errorf("cluster: applying config on shard %d: %w", i, err)
 		}
 	}
@@ -1057,7 +1078,8 @@ func (r *Router) ApplyConfig(ctx context.Context, p scheduler.ConfigPatch) error
 		return nil
 	}
 	wasEnhanced := r.enhanced
-	r.polName = newPol.Name()
+	name := newPol.Name()
+	r.polName.Store(&name)
 	r.enhanced = newPol.Capabilities().GlobalWeightFloors
 	if !r.enhanced || wasEnhanced {
 		// Shards joining (or staying on) a floor-free policy ignore their
@@ -1067,17 +1089,5 @@ func (r *Router) ApplyConfig(ctx context.Context, p scheduler.ConfigPatch) error
 	}
 	// Floor coupling just switched on: every shard needs its external
 	// weight installed before the floors mean anything.
-	r.broadcastVersion.Add(1)
-	var firstErr error
-	for i, sh := range r.shards {
-		ext := r.weightSum - r.shardWt[i]
-		if ext < 0 {
-			ext = 0
-		}
-		if err := sh.SetExternalWeight(ctx, ext); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: weight broadcast to shard %d: %w", i, err)
-		}
-		r.broadcasts.Add(1)
-	}
-	return firstErr
+	return r.broadcastLocked(ctx, -1)
 }

@@ -8,9 +8,10 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/policy"
+	"repro/internal/wal"
 )
 
 // newEngineShards builds n WAL-less engine shards, each over the full
@@ -127,16 +128,16 @@ func TestRouterQueueAndRestoreUnsupported(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := r.AddQueue(ctx, "q", 2); !errors.Is(err, cluster.ErrQueuesUnsupported) {
+	if _, err := r.Apply(ctx, wal.Mutation{Op: wal.OpAddQueue, ID: "q", Weight: 2}); !errors.Is(err, cluster.ErrQueuesUnsupported) {
 		t.Fatalf("AddQueue = %v", err)
 	}
-	if err := r.AddJobInQueue(ctx, "q", "j", 1, []float64{1, 0}, nil); !errors.Is(err, cluster.ErrQueuesUnsupported) {
+	if _, err := r.Apply(ctx, wal.Mutation{Op: wal.OpAddJob, Queue: "q", ID: "j", Weight: 1, Demand: []float64{1, 0}}); !errors.Is(err, cluster.ErrQueuesUnsupported) {
 		t.Fatalf("AddJobInQueue = %v", err)
 	}
 	if err := r.AddJobs(ctx, []scheduler.JobSpec{{ID: "j", Queue: "q", Demand: []float64{1, 0}}}); !errors.Is(err, cluster.ErrQueuesUnsupported) {
 		t.Fatalf("AddJobs with queue = %v", err)
 	}
-	if err := r.Restore(ctx, scheduler.Snapshot{}); !errors.Is(err, cluster.ErrRestoreUnsupported) {
+	if _, err := r.Apply(ctx, wal.Mutation{Op: wal.OpRestore, State: &scheduler.Snapshot{}}); !errors.Is(err, cluster.ErrRestoreUnsupported) {
 		t.Fatalf("Restore = %v", err)
 	}
 }
@@ -330,7 +331,7 @@ func TestRouterSyncFromShards(t *testing.T) {
 	// fail the sync, not be papered over.
 	bad, _ := newEngineShards(t, 2, caps, policy.AMF)
 	for i, sh := range bad {
-		if err := sh.AddJob(ctx, "dup"+string(rune('0'+i)), 1, demandAt(sites, 0), nil); err != nil {
+		if _, err := sh.Apply(ctx, wal.Mutation{Op: wal.OpAddJob, ID: "dup" + string(rune('0'+i)), Weight: 1, Demand: demandAt(sites, 0)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -14,6 +14,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"time"
 
@@ -23,24 +24,22 @@ import (
 	"repro/internal/obs/span"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
+	"repro/internal/wal"
 )
 
-// The router is itself an api.Backend with the unified config surface
-// and the explainability surface; replicas explain their replayed view.
-var _ api.ConfigPatcher = (*Router)(nil)
-var _ api.Explainer = (*Router)(nil)
-var _ api.Explainer = (*Replica)(nil)
+// The router and read replicas are api.Backends.
+var _ api.Backend = (*Router)(nil)
+var _ api.Backend = (*Replica)(nil)
 
-// Shard is the router's view of one engine shard: the mutation and read
-// surface it fans out to, plus the cluster-specific hooks (external
-// weight, snapshot version, readiness). Implemented in-process by
-// EngineShard and over HTTP by HTTPShard.
+// Shard is the router's view of one engine shard: one mutating method,
+// Apply, taking the wal.Mutation the shard logs, plus the read surface the
+// router fans out to (snapshot version, traces, metrics, readiness).
+// Implemented in-process by EngineShard and over HTTP by HTTPShard.
 type Shard interface {
-	AddJob(ctx context.Context, id string, weight float64, demand, work []float64) error
-	AddJobs(ctx context.Context, specs []scheduler.JobSpec) error
-	RemoveJob(ctx context.Context, id string) error
-	UpdateWeight(ctx context.Context, id string, weight float64) error
-	ReportProgress(ctx context.Context, id string, done []float64) (bool, error)
+	// Apply applies one mutation on the shard; completed reports whether
+	// an OpProgress finished its job. The router sends job mutations,
+	// OpExternalWeight broadcasts and OpSetConfig patches.
+	Apply(ctx context.Context, m wal.Mutation) (completed bool, err error)
 	Shares(ctx context.Context, id string) ([]float64, error)
 	// Allocation returns every job's shares together with the shard's
 	// snapshot version — one coherent pair, so the router can assemble a
@@ -58,17 +57,11 @@ type Shard interface {
 	// ScrapeMetrics returns the shard's raw Prometheus text exposition —
 	// the router's federation input (nil page when unavailable).
 	ScrapeMetrics(ctx context.Context) ([]byte, error)
-	SetExternalWeight(ctx context.Context, w float64) error
-	// PolicyName reports the shard's active fairness policy; the router
-	// refuses to assemble a mixed-policy cluster (ErrPolicyMismatch).
-	PolicyName(ctx context.Context) (string, error)
 	// RuntimeConfig reports the shard's runtime-tuning document; the
 	// router's merged read requires every shard to agree
-	// (ErrConfigMismatch).
+	// (ErrConfigMismatch), and its Policy must match the router's
+	// (ErrPolicyMismatch).
 	RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, error)
-	// ApplyConfig applies one runtime-tuning patch on the shard — the
-	// router fans a cluster-wide PATCH /v1/config out through it.
-	ApplyConfig(ctx context.Context, p scheduler.ConfigPatch) error
 	ReadyErr(ctx context.Context) error
 }
 
@@ -88,24 +81,8 @@ type EngineShard struct {
 	Reg *obs.Registry
 }
 
-func (s EngineShard) AddJob(ctx context.Context, id string, weight float64, demand, work []float64) error {
-	return s.Eng.AddJob(ctx, id, weight, demand, work)
-}
-
-func (s EngineShard) AddJobs(ctx context.Context, specs []scheduler.JobSpec) error {
-	return s.Eng.AddJobs(ctx, specs)
-}
-
-func (s EngineShard) RemoveJob(ctx context.Context, id string) error {
-	return s.Eng.RemoveJob(ctx, id)
-}
-
-func (s EngineShard) UpdateWeight(ctx context.Context, id string, weight float64) error {
-	return s.Eng.UpdateWeight(ctx, id, weight)
-}
-
-func (s EngineShard) ReportProgress(ctx context.Context, id string, done []float64) (bool, error) {
-	return s.Eng.ReportProgress(ctx, id, done)
+func (s EngineShard) Apply(ctx context.Context, m wal.Mutation) (bool, error) {
+	return s.Eng.Apply(ctx, m)
 }
 
 func (s EngineShard) Shares(ctx context.Context, id string) ([]float64, error) {
@@ -171,23 +148,8 @@ func (s EngineShard) ScrapeMetrics(ctx context.Context) ([]byte, error) {
 	return []byte(sb.String()), nil
 }
 
-func (s EngineShard) SetExternalWeight(ctx context.Context, w float64) error {
-	return s.Eng.SetExternalWeight(ctx, w)
-}
-
-func (s EngineShard) PolicyName(ctx context.Context) (string, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	return s.Eng.PolicyName(), nil
-}
-
 func (s EngineShard) RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, error) {
 	return s.Eng.RuntimeConfig(ctx)
-}
-
-func (s EngineShard) ApplyConfig(ctx context.Context, p scheduler.ConfigPatch) error {
-	return s.Eng.ApplyConfig(ctx, p)
 }
 
 func (s EngineShard) ReadyErr(ctx context.Context) error {
@@ -203,29 +165,44 @@ type HTTPShard struct {
 	Client *api.Client
 }
 
-func (s HTTPShard) AddJob(ctx context.Context, id string, weight float64, demand, work []float64) error {
-	return s.Client.AddJob(ctx, api.AddJobRequest{ID: id, Weight: weight, Demand: demand, Work: work})
-}
-
-func (s HTTPShard) AddJobs(ctx context.Context, specs []scheduler.JobSpec) error {
-	reqs := make([]api.AddJobRequest, len(specs))
-	for i, sp := range specs {
-		reqs[i] = api.AddJobRequest{ID: sp.ID, Weight: sp.Weight, Queue: sp.Queue, Demand: sp.Demand, Work: sp.Work}
+// Apply sends the mutation to the shard's matching API route.
+func (s HTTPShard) Apply(ctx context.Context, m wal.Mutation) (bool, error) {
+	var err error
+	switch m.Op {
+	case wal.OpAddJob:
+		err = s.Client.AddJob(ctx, api.AddJobRequest{ID: m.ID, Weight: m.Weight, Queue: m.Queue, Demand: m.Demand, Work: m.Work})
+	case wal.OpAddJobs:
+		reqs := make([]api.AddJobRequest, len(m.Jobs))
+		for i, sp := range m.Jobs {
+			reqs[i] = api.AddJobRequest{ID: sp.ID, Weight: sp.Weight, Queue: sp.Queue, Demand: sp.Demand, Work: sp.Work}
+		}
+		_, err = s.Client.AddJobs(ctx, reqs)
+	case wal.OpAddQueue:
+		err = s.Client.AddQueue(ctx, m.ID, m.Weight)
+	case wal.OpRemoveJob:
+		err = s.Client.RemoveJob(ctx, m.ID)
+	case wal.OpProgress:
+		return s.Client.ReportProgress(ctx, m.ID, m.Done)
+	case wal.OpWeight:
+		err = s.Client.UpdateWeight(ctx, m.ID, m.Weight)
+	case wal.OpExternalWeight:
+		err = s.Client.SetExternalWeight(ctx, m.Weight)
+	case wal.OpSetPolicy:
+		_, err = s.Client.SetConfig(ctx, api.ConfigPatchRequest{Policy: &m.Policy})
+	case wal.OpSetConfig:
+		if m.Config == nil {
+			return false, wal.ErrNoConfig
+		}
+		_, err = s.Client.SetConfig(ctx, api.NewConfigPatchRequest(*m.Config))
+	case wal.OpRestore:
+		if m.State == nil {
+			return false, wal.ErrNoState
+		}
+		err = s.Client.RestoreSnapshot(ctx, *m.State)
+	default:
+		err = fmt.Errorf("cluster: unknown mutation op %q", m.Op)
 	}
-	_, err := s.Client.AddJobs(ctx, reqs)
-	return err
-}
-
-func (s HTTPShard) RemoveJob(ctx context.Context, id string) error {
-	return s.Client.RemoveJob(ctx, id)
-}
-
-func (s HTTPShard) UpdateWeight(ctx context.Context, id string, weight float64) error {
-	return s.Client.UpdateWeight(ctx, id, weight)
-}
-
-func (s HTTPShard) ReportProgress(ctx context.Context, id string, done []float64) (bool, error) {
-	return s.Client.ReportProgress(ctx, id, done)
+	return false, err
 }
 
 func (s HTTPShard) Shares(ctx context.Context, id string) ([]float64, error) {
@@ -312,29 +289,12 @@ func (s HTTPShard) ScrapeMetrics(ctx context.Context) ([]byte, error) {
 	return s.Client.ScrapeMetrics(ctx)
 }
 
-func (s HTTPShard) SetExternalWeight(ctx context.Context, w float64) error {
-	return s.Client.SetExternalWeight(ctx, w)
-}
-
-func (s HTTPShard) PolicyName(ctx context.Context) (string, error) {
-	resp, err := s.Client.Policy(ctx)
-	if err != nil {
-		return "", err
-	}
-	return resp.Policy, nil
-}
-
 func (s HTTPShard) RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, error) {
 	resp, err := s.Client.Config(ctx)
 	if err != nil {
 		return scheduler.RuntimeConfig{}, err
 	}
 	return resp.RuntimeConfig(), nil
-}
-
-func (s HTTPShard) ApplyConfig(ctx context.Context, p scheduler.ConfigPatch) error {
-	_, err := s.Client.SetConfig(ctx, api.NewConfigPatchRequest(p))
-	return err
 }
 
 func (s HTTPShard) ReadyErr(ctx context.Context) error {

@@ -165,8 +165,9 @@ func TestApproxThresholdRoutesSmallExact(t *testing.T) {
 
 // TestApproxIncrementalWithinEpsilon drives the approximate path through
 // the incremental solver: the spliced result must respect the epsilon
-// budget against an exact from-scratch solve, and the fingerprint must
-// keep approximate and exact cache entries apart when epsilon changes.
+// budget against an exact from-scratch solve, and once epsilon drops to
+// zero no approximate carried result may be spliced into the exact
+// re-solve.
 func TestApproxIncrementalWithinEpsilon(t *testing.T) {
 	in := workload.GenerateLargeGraph(workload.LargeGraphConfig{Jobs: 150, Sites: 20, Seed: 13})
 	in.JobName = make([]string, in.NumJobs())

@@ -177,17 +177,18 @@ func (sc *Scheduler) HotSet() *HotSet {
 // window of solves, plus a solve-time EWMA.
 type hotTracker struct {
 	window int
-	ring   [][]string // per-solve touched component keys
-	pos    int
-	size   int // filled ring entries
-	hits   map[string]int
-	ewma   map[string]time.Duration
+	// ring holds the per-solve touched component keys. It grows with the
+	// solves seen until it reaches window entries, so a huge configured
+	// window costs memory only as it fills; pos is then the oldest entry.
+	ring [][]string
+	pos  int
+	hits map[string]int
+	ewma map[string]time.Duration
 }
 
 func newHotTracker(window int) *hotTracker {
 	return &hotTracker{
 		window: window,
-		ring:   make([][]string, window),
 		hits:   map[string]int{},
 		ewma:   map[string]time.Duration{},
 	}
@@ -196,18 +197,18 @@ func newHotTracker(window int) *hotTracker {
 // push records one solve's touched component keys, evicting the oldest
 // window entry.
 func (t *hotTracker) push(touched []string) {
-	if t.size == t.window {
+	if len(t.ring) < t.window {
+		t.ring = append(t.ring, touched)
+	} else {
 		for _, k := range t.ring[t.pos] {
 			if t.hits[k]--; t.hits[k] <= 0 {
 				delete(t.hits, k)
 				delete(t.ewma, k) // fully cold: drop its EWMA too
 			}
 		}
-	} else {
-		t.size++
+		t.ring[t.pos] = touched
+		t.pos = (t.pos + 1) % t.window
 	}
-	t.ring[t.pos] = touched
-	t.pos = (t.pos + 1) % t.window
 	for _, k := range touched {
 		t.hits[k]++
 	}
@@ -257,7 +258,7 @@ func (sc *Scheduler) recordHotLocked() {
 	// HotThreshold of the windowed solves.
 	var hotKeys []string
 	for k, n := range t.hits {
-		if float64(n) >= ph.HotThreshold*float64(t.size) {
+		if float64(n) >= ph.HotThreshold*float64(len(t.ring)) {
 			hotKeys = append(hotKeys, k)
 		}
 	}

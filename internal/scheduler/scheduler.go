@@ -666,13 +666,9 @@ func (sc *Scheduler) setApproxLocked(eps float64, threshold int) {
 	cur.ApproxThreshold = threshold
 	sc.cfg.ApproxEpsilon = eps
 	sc.cfg.ApproxThreshold = threshold
-	if sc.inc != nil {
-		// A routing-knob change invalidates every carried component result;
-		// drop them now (the solver's own knob check would also catch it
-		// on the next Solve).
-		sc.inc.Reset()
-	}
-	sc.resetHotLocked() // the dropped components' telemetry went with them
+	// The incremental solver drops its carried components itself on the
+	// next Solve, when it sees the knobs moved; their telemetry goes now.
+	sc.resetHotLocked()
 	sc.needSolve = true
 }
 

@@ -439,3 +439,29 @@ func TestResolveConsistentView(t *testing.T) {
 		}
 	}
 }
+
+// TestPhaseClassifierHugeWindow: the classifier window arrives from
+// outside (PATCH /v1/config, a replayed set_config record), so a huge
+// value must cost memory only as solves fill the window, not up front,
+// and the classifier must still mark a constantly-dirtied component hot.
+func TestPhaseClassifierHugeWindow(t *testing.T) {
+	sc := newTestScheduler(t, 4, 4)
+	hot, window := 0.5, math.MaxInt
+	if err := sc.ApplyConfigPatch(ConfigPatch{HotThreshold: &hot, Window: &window}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.AddJob("a", 1, []float64{1, 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := sc.UpdateWeight("a", float64(2+i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sc.Allocation(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hs := sc.HotSet(); hs == nil || hs.Jobs["a"] == "" {
+		t.Fatalf("constantly dirtied component not classified hot: %+v", hs)
+	}
+}

@@ -35,9 +35,12 @@
 //     mutations with ErrWALFailed while reads keep serving the last
 //     published snapshot.
 //
-// Snapshot restores (Restore) are exclusive: the committer quiesces the
-// batch pipeline and commits a restore as a batch of one, so a state swap
-// never interleaves with other mutations inside a commit.
+// Every mutation is one wal.Mutation, submitted through Apply and
+// applied by wal.Mutation.Apply — the same function recovery and read
+// replicas replay. Restores, policy switches and config patches are
+// exclusive: the committer quiesces the batch pipeline and commits them as
+// a batch of one, so a state or regime swap never interleaves with other
+// mutations inside a commit.
 //
 // The engine optionally instruments itself into an obs.Registry: solver
 // latency, commit latency, batch sizes, mutation/read counters, the
@@ -194,18 +197,15 @@ const (
 	opCancelled
 )
 
-// op is one queued mutation. apply runs under the committer; done is
-// closed after the batch containing the op has committed and its snapshot
-// is published.
+// op is one queued mutation. The committer applies m and logs it iff the
+// apply succeeds; done is closed after the batch containing the op has
+// committed and its snapshot is published.
 type op struct {
-	apply func(*scheduler.Scheduler) error
-	// rec is the mutation's WAL form, logged iff apply succeeds. Nil means
-	// the op is not logged.
-	rec *wal.Mutation
-	// exclusive ops (snapshot restores) never share a batch: the committer
-	// finishes the in-progress batch, commits the exclusive op alone, then
-	// resumes batching.
-	exclusive bool
+	// m is the mutation; nil is the snapshot barrier, an exclusive no-op
+	// that only forces outstanding phase deltas to reconcile.
+	m *wal.Mutation
+	// completed is OpProgress's result: whether the job finished.
+	completed bool
 	// traceID is the submitting request's trace ID ("" when the context
 	// carried none); parentID is the cluster-level parent trace ID riding
 	// the request (X-AMF-Parent-Span, "" standalone); enqueuedAt anchors
@@ -216,6 +216,22 @@ type op struct {
 	state      atomic.Int32
 	err        error
 	done       chan struct{}
+}
+
+// exclusive reports whether the op must commit alone: the committer
+// finishes the in-progress batch, commits the op as a batch of one, then
+// resumes batching. State replacements, policy switches, config patches
+// and the snapshot barrier are exclusive, so every other commit is solved
+// under one state lineage and one regime.
+func (o *op) exclusive() bool {
+	if o.m == nil {
+		return true
+	}
+	switch o.m.Op {
+	case wal.OpRestore, wal.OpSetPolicy, wal.OpSetConfig:
+		return true
+	}
+	return false
 }
 
 // Engine is the concurrent serving engine. Create with New, stop with
@@ -470,20 +486,19 @@ func (e *Engine) Crash() {
 	<-e.done
 }
 
-// submit enqueues a mutation and blocks until its batch commits or ctx is
-// cancelled. Cancellation while the op is still queued abandons it — the
-// committer will skip it — instead of blocking on the batch window.
-func (e *Engine) submit(ctx context.Context, exclusive bool, rec *wal.Mutation, apply func(*scheduler.Scheduler) error) error {
+// submit enqueues a mutation (nil: the snapshot barrier) and blocks until
+// its batch commits or ctx is cancelled. Cancellation while the op is
+// still queued abandons it — the committer will skip it — instead of
+// blocking on the batch window.
+func (e *Engine) submit(ctx context.Context, m *wal.Mutation) (bool, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return false, err
 	}
 	if e.walFailed.Load() {
-		return ErrWALFailed
+		return false, ErrWALFailed
 	}
 	o := &op{
-		apply:      apply,
-		rec:        rec,
-		exclusive:  exclusive,
+		m:          m,
 		traceID:    span.FromContext(ctx),
 		parentID:   span.ParentFromContext(ctx),
 		enqueuedAt: time.Now(),
@@ -492,28 +507,27 @@ func (e *Engine) submit(ctx context.Context, exclusive bool, rec *wal.Mutation, 
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
-		return ErrClosed
+		return false, ErrClosed
 	}
 	select {
 	case e.ops <- o:
 		e.mu.RUnlock()
 	case <-ctx.Done():
 		e.mu.RUnlock()
-		return ctx.Err()
+		return false, ctx.Err()
 	}
 	select {
 	case <-o.done:
-		return o.err
 	case <-ctx.Done():
 		if o.state.CompareAndSwap(opQueued, opCancelled) {
 			// The committer had not reached the op; it will be skipped.
 			e.mCancels.Inc()
-			return ctx.Err()
+			return false, ctx.Err()
 		}
 		// The committer already took it: the commit's outcome stands.
 		<-o.done
-		return o.err
 	}
+	return o.completed, o.err
 }
 
 // commitLoop is the single committer goroutine: gather a batch, apply it,
@@ -533,7 +547,7 @@ func (e *Engine) commitLoop() {
 				e.finalize()
 				return
 			}
-			if o.exclusive {
+			if o.exclusive() {
 				e.commit([]*op{o})
 			} else {
 				e.commit(e.gather(o))
@@ -605,7 +619,7 @@ func (e *Engine) gather(first *op) []*op {
 			if !ok {
 				return batch // closing: commit what we have
 			}
-			if o.exclusive {
+			if o.exclusive() {
 				e.pending = o
 				return batch
 			}
@@ -619,7 +633,7 @@ func (e *Engine) gather(first *op) []*op {
 				if !ok {
 					return batch
 				}
-				if o.exclusive {
+				if o.exclusive() {
 					e.pending = o
 					return batch
 				}
@@ -657,14 +671,17 @@ func (e *Engine) commit(batch []*op) {
 			// Buffered against a hot component: not applied yet, but its
 			// WAL record rides in this batch so the ack that follows the
 			// group fsync is durable exactly like an applied mutation's.
-			if o.rec != nil && e.cfg.Log != nil {
-				recs = append(recs, *o.rec)
+			if e.cfg.Log != nil {
+				recs = append(recs, *o.m)
 			}
 			continue
 		}
-		o.err = o.apply(e.sc)
-		if o.err == nil && o.rec != nil && e.cfg.Log != nil {
-			recs = append(recs, *o.rec)
+		if o.m == nil {
+			continue // snapshot barrier: phaseAbsorb already reconciled
+		}
+		o.completed, o.err = o.m.Apply(e.sc)
+		if o.err == nil && e.cfg.Log != nil {
+			recs = append(recs, *o.m)
 		}
 	}
 	applyD := time.Since(tApply)
@@ -742,7 +759,7 @@ func (e *Engine) commit(batch []*op) {
 	if tb := e.tb; tb != nil {
 		tb.Stage(stagePublish, pubOver)
 	}
-	if len(batch) == 1 && batch[0].exclusive {
+	if len(batch) == 1 && batch[0].exclusive() {
 		e.mExclusive.Inc()
 	}
 	e.finishCommit(batch, start)
@@ -1052,129 +1069,93 @@ func (e *Engine) ReadyErr() error {
 
 // --- Mutations (all group-committed, context-aware) ----------------------
 
+// Apply submits one mutation to the group commit and blocks until it is
+// applied, logged and published. completed reports whether an OpProgress
+// finished its job. Policy switches and config patches are validated
+// against the current state before they are enqueued, so an invalid one
+// fails fast and never costs an exclusive commit.
+func (e *Engine) Apply(ctx context.Context, m wal.Mutation) (completed bool, err error) {
+	switch {
+	case m.Op == wal.OpSetPolicy:
+		if _, err := policy.ForName(m.Policy); err != nil {
+			return false, err
+		}
+	case m.Op == wal.OpSetConfig && m.Config != nil:
+		if err := e.sc.ValidateConfigPatch(*m.Config); err != nil {
+			return false, err
+		}
+	}
+	return e.submit(ctx, &m)
+}
+
+// errOf drops Apply's completed flag for the mutations that never set it.
+func errOf(_ bool, err error) error { return err }
+
 // AddJob registers a job; see scheduler.AddJob.
 func (e *Engine) AddJob(ctx context.Context, id string, weight float64, demand, work []float64) error {
-	return e.submit(ctx, false,
-		&wal.Mutation{Op: wal.OpAddJob, ID: id, Weight: weight, Demand: demand, Work: work},
-		func(sc *scheduler.Scheduler) error {
-			return sc.AddJob(id, weight, demand, work)
-		})
+	return errOf(e.Apply(ctx, wal.Mutation{Op: wal.OpAddJob, ID: id, Weight: weight, Demand: demand, Work: work}))
 }
 
 // AddJobInQueue registers a job under a declared queue.
 func (e *Engine) AddJobInQueue(ctx context.Context, queue, id string, weight float64, demand, work []float64) error {
-	return e.submit(ctx, false,
-		&wal.Mutation{Op: wal.OpAddJob, ID: id, Queue: queue, Weight: weight, Demand: demand, Work: work},
-		func(sc *scheduler.Scheduler) error {
-			return sc.AddJobInQueue(queue, id, weight, demand, work)
-		})
+	return errOf(e.Apply(ctx, wal.Mutation{Op: wal.OpAddJob, ID: id, Queue: queue, Weight: weight, Demand: demand, Work: work}))
 }
 
 // AddJobs atomically registers a whole set of jobs in ONE commit: one
 // queue slot, one solve, one WAL record, all-or-nothing semantics (see
 // scheduler.AddJobs).
 func (e *Engine) AddJobs(ctx context.Context, specs []scheduler.JobSpec) error {
-	return e.submit(ctx, false,
-		&wal.Mutation{Op: wal.OpAddJobs, Jobs: specs},
-		func(sc *scheduler.Scheduler) error {
-			return sc.AddJobs(specs)
-		})
+	return errOf(e.Apply(ctx, wal.Mutation{Op: wal.OpAddJobs, Jobs: specs}))
 }
 
 // AddQueue declares a weighted queue.
 func (e *Engine) AddQueue(ctx context.Context, name string, weight float64) error {
-	return e.submit(ctx, false,
-		&wal.Mutation{Op: wal.OpAddQueue, ID: name, Weight: weight},
-		func(sc *scheduler.Scheduler) error {
-			return sc.AddQueue(name, weight)
-		})
+	return errOf(e.Apply(ctx, wal.Mutation{Op: wal.OpAddQueue, ID: name, Weight: weight}))
 }
 
 // RemoveJob deregisters a job.
 func (e *Engine) RemoveJob(ctx context.Context, id string) error {
-	return e.submit(ctx, false,
-		&wal.Mutation{Op: wal.OpRemoveJob, ID: id},
-		func(sc *scheduler.Scheduler) error {
-			return sc.RemoveJob(id)
-		})
+	return errOf(e.Apply(ctx, wal.Mutation{Op: wal.OpRemoveJob, ID: id}))
 }
 
 // ReportProgress subtracts completed work; it reports whether the job
 // finished.
 func (e *Engine) ReportProgress(ctx context.Context, id string, done []float64) (bool, error) {
-	var completed bool
-	err := e.submit(ctx, false,
-		&wal.Mutation{Op: wal.OpProgress, ID: id, Done: done},
-		func(sc *scheduler.Scheduler) error {
-			var err error
-			completed, err = sc.ReportProgress(id, done)
-			return err
-		})
-	return completed, err
+	return e.Apply(ctx, wal.Mutation{Op: wal.OpProgress, ID: id, Done: done})
 }
 
 // UpdateWeight changes a job's share weight.
 func (e *Engine) UpdateWeight(ctx context.Context, id string, weight float64) error {
-	return e.submit(ctx, false,
-		&wal.Mutation{Op: wal.OpWeight, ID: id, Weight: weight},
-		func(sc *scheduler.Scheduler) error {
-			return sc.UpdateWeight(id, weight)
-		})
+	return errOf(e.Apply(ctx, wal.Mutation{Op: wal.OpWeight, ID: id, Weight: weight}))
 }
 
 // SetExternalWeight installs the cluster router's Enhanced-AMF weight-sum
-// broadcast (scheduler.SetExternalWeight). It is group-committed and WAL
-// logged like any other mutation, so a replica replaying this shard's log
-// reconstructs the same floors the shard solved under.
+// broadcast (scheduler.SetExternalWeight). It is logged like any other
+// mutation, so a replica replaying this shard's log reconstructs the same
+// floors the shard solved under.
 func (e *Engine) SetExternalWeight(ctx context.Context, w float64) error {
-	return e.submit(ctx, false,
-		&wal.Mutation{Op: wal.OpExternalWeight, Weight: w},
-		func(sc *scheduler.Scheduler) error {
-			return sc.SetExternalWeight(w)
-		})
+	return errOf(e.Apply(ctx, wal.Mutation{Op: wal.OpExternalWeight, Weight: w}))
 }
 
-// SetApproxConfig retunes the solver's approximate water-filling knobs
-// (scheduler.SetApproxConfig). The change is group-committed like any
-// mutation — the re-solve it forces lands in an ordinary batch — but it
-// is not WAL logged: the knobs are process-local performance settings
-// that flags re-establish on restart, and every allocation they produce
-// stays within the configured epsilon of the exact solution.
-func (e *Engine) SetApproxConfig(ctx context.Context, epsilon float64, threshold int) error {
-	return e.submit(ctx, false, nil,
-		func(sc *scheduler.Scheduler) error {
-			return sc.SetApproxConfig(epsilon, threshold)
-		})
+// ApplyConfig applies one runtime-tuning patch (PATCH /v1/config) as an
+// exclusive, WAL-logged commit: the batch pipeline quiesces, outstanding
+// phase deltas reconcile, the patch commits alone, and recovery replays it
+// at the same point in the mutation order.
+func (e *Engine) ApplyConfig(ctx context.Context, p scheduler.ConfigPatch) error {
+	return errOf(e.Apply(ctx, wal.Mutation{Op: wal.OpSetConfig, Config: &p}))
 }
 
-// ApproxConfig reports the solver's current approximation knobs.
-func (e *Engine) ApproxConfig() (epsilon float64, threshold int) {
-	return e.sc.ApproxConfig()
+// Restore replaces the controller's job set from a state snapshot, as an
+// exclusive commit: no concurrent mutation lands in the same commit as
+// the state replacement.
+func (e *Engine) Restore(ctx context.Context, snap scheduler.Snapshot) error {
+	return errOf(e.Apply(ctx, wal.Mutation{Op: wal.OpRestore, State: &snap}))
 }
 
-// PolicyName reports the wire name of the controller's active fairness
-// policy.
-func (e *Engine) PolicyName() string { return e.sc.PolicyName() }
-
-// SetPolicy switches the controller's fairness policy by wire name
-// (policy.Names lists the valid ones). Like Restore, the switch is
-// exclusive — the committer quiesces the batch pipeline and commits it
-// alone, so every other commit is solved entirely under one policy — and
-// it is WAL logged, so recovery replays the switch at the same point in
-// the mutation order. Switching to the already-active policy is a no-op
-// that still publishes a snapshot.
-func (e *Engine) SetPolicy(ctx context.Context, name string) error {
-	// Validate before submitting: an unknown name should fail fast at the
-	// API edge, not poison a WAL record.
-	if _, err := policy.ForName(name); err != nil {
-		return err
-	}
-	return e.submit(ctx, true,
-		&wal.Mutation{Op: wal.OpSetPolicy, Policy: name},
-		func(sc *scheduler.Scheduler) error {
-			return sc.SetPolicyName(name)
-		})
-}
+// PolicyName reports the wire name of the fairness policy the published
+// snapshot was solved under. It is one atomic load: it never waits on the
+// controller lock a running solve holds.
+func (e *Engine) PolicyName() string { return e.snap.Load().Policy }
 
 // RuntimeConfig reports the controller's runtime-tuning document:
 // policy, approximate-solver routing, phase-reconciliation knobs. The
@@ -1186,36 +1167,6 @@ func (e *Engine) RuntimeConfig(ctx context.Context) (scheduler.RuntimeConfig, er
 		return scheduler.RuntimeConfig{}, err
 	}
 	return e.sc.RuntimeConfig(), nil
-}
-
-// ApplyConfig applies one runtime-tuning patch (PATCH /v1/config). Like
-// SetPolicy it is exclusive — the batch pipeline quiesces, outstanding
-// phase deltas reconcile, and the patch commits alone — and WAL-logged
-// (OpSetConfig), so recovery replays the tuning change at the same point
-// in the mutation order and compaction persists the result. The patch is
-// validated against the current state before it is enqueued, so an
-// invalid patch fails fast and never poisons a WAL record.
-func (e *Engine) ApplyConfig(ctx context.Context, p scheduler.ConfigPatch) error {
-	if err := e.sc.ValidateConfigPatch(p); err != nil {
-		return err
-	}
-	return e.submit(ctx, true,
-		&wal.Mutation{Op: wal.OpSetConfig, Config: &p},
-		func(sc *scheduler.Scheduler) error {
-			return sc.ApplyConfigPatch(p)
-		})
-}
-
-// Restore replaces the controller's job set from a state snapshot. The
-// swap is exclusive: the committer quiesces the batch pipeline and
-// commits the restore alone, so no concurrent mutation lands in the same
-// commit as the state replacement.
-func (e *Engine) Restore(ctx context.Context, snap scheduler.Snapshot) error {
-	return e.submit(ctx, true,
-		&wal.Mutation{Op: wal.OpRestore, State: &snap},
-		func(sc *scheduler.Scheduler) error {
-			return sc.Restore(snap)
-		})
 }
 
 // explainEntry is one cached derivation.
@@ -1325,7 +1276,7 @@ func (e *Engine) Snapshot() scheduler.Snapshot {
 	if e.phaseLagA.Load() > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		_ = e.submit(ctx, true, nil, func(*scheduler.Scheduler) error { return nil })
+		_, _ = e.submit(ctx, nil)
 	}
 	return e.sc.Snapshot()
 }

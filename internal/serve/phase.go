@@ -133,15 +133,14 @@ func (e *Engine) phaseAbsorb(o *op) bool {
 	if !p.enabled && p.buffered == 0 {
 		return false
 	}
-	if o.rec == nil {
-		// Unlogged mutation (SetApproxConfig, snapshot barriers): not
-		// classifiable, so quiesce everything and let it apply ordered.
+	if o.m == nil {
+		// Snapshot barrier: quiesce everything.
 		if p.buffered > 0 {
 			e.phaseFlush(true)
 		}
 		return false
 	}
-	switch o.rec.Op {
+	switch o.m.Op {
 	case wal.OpProgress:
 		return p.enabled && e.absorbProgress(o)
 	case wal.OpWeight:
@@ -149,13 +148,13 @@ func (e *Engine) phaseAbsorb(o *op) bool {
 	case wal.OpRemoveJob:
 		// Removal changes the component's membership: fold the buffered
 		// deltas in first so none of them land on a vanished job.
-		if key, hot := p.jobHot(o.rec.ID); hot {
+		if key, hot := p.jobHot(o.m.ID); hot {
 			e.applyBuffer(key, true)
 		}
 	case wal.OpAddJob:
-		e.flushSites(o.rec.Demand)
+		e.flushSites(o.m.Demand)
 	case wal.OpAddJobs:
-		for _, js := range o.rec.Jobs {
+		for _, js := range o.m.Jobs {
 			e.flushSites(js.Demand)
 		}
 	case wal.OpAddQueue, wal.OpExternalWeight, wal.OpSetPolicy, wal.OpSetConfig, wal.OpRestore:
@@ -187,12 +186,12 @@ func (e *Engine) flushSites(demand []float64) {
 
 func (e *Engine) absorbProgress(o *op) bool {
 	p := &e.phase
-	id := o.rec.ID
+	id := o.m.ID
 	key, hot := p.jobHot(id)
 	if !hot || !e.sc.JobLive(id) {
 		return false
 	}
-	done := o.rec.Done
+	done := o.m.Done
 	if scheduler.ValidateProgress(done, e.sc.NumSites()) != nil {
 		return false // the ordered path produces the caller's error
 	}
@@ -240,12 +239,12 @@ func (e *Engine) absorbProgress(o *op) bool {
 
 func (e *Engine) absorbWeight(o *op) bool {
 	p := &e.phase
-	id := o.rec.ID
+	id := o.m.ID
 	key, hot := p.jobHot(id)
 	if !hot || !e.sc.JobLive(id) {
 		return false
 	}
-	w := o.rec.Weight
+	w := o.m.Weight
 	if math.IsNaN(w) || math.IsInf(w, 0) {
 		return false // preserve the ordered path's handling of degenerate weights
 	}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/scheduler"
@@ -38,6 +39,13 @@ const (
 	OpSetConfig = "set_config"
 )
 
+// ErrNoConfig and ErrNoState reject a set_config or restore mutation that
+// lacks its payload.
+var (
+	ErrNoConfig = errors.New("wal: set_config mutation without config")
+	ErrNoState  = errors.New("wal: restore mutation without state")
+)
+
 // Mutation is one logged controller mutation. Exactly the fields the op
 // kind needs are set; arguments are logged as submitted (the scheduler's
 // normalization — e.g. weight <= 0 meaning 1 — is deterministic, so
@@ -60,41 +68,41 @@ type Mutation struct {
 	Config *scheduler.ConfigPatch `json:"config,omitempty"`
 }
 
-// Apply replays the mutation onto a controller.
-func (m Mutation) Apply(sc *scheduler.Scheduler) error {
+// Apply replays the mutation onto a controller. completed is set only by
+// OpProgress and reports whether the job finished.
+func (m Mutation) Apply(sc *scheduler.Scheduler) (completed bool, err error) {
 	switch m.Op {
 	case OpAddJob:
 		if m.Queue != "" {
-			return sc.AddJobInQueue(m.Queue, m.ID, m.Weight, m.Demand, m.Work)
+			return false, sc.AddJobInQueue(m.Queue, m.ID, m.Weight, m.Demand, m.Work)
 		}
-		return sc.AddJob(m.ID, m.Weight, m.Demand, m.Work)
+		return false, sc.AddJob(m.ID, m.Weight, m.Demand, m.Work)
 	case OpAddJobs:
-		return sc.AddJobs(m.Jobs)
+		return false, sc.AddJobs(m.Jobs)
 	case OpAddQueue:
-		return sc.AddQueue(m.ID, m.Weight)
+		return false, sc.AddQueue(m.ID, m.Weight)
 	case OpRemoveJob:
-		return sc.RemoveJob(m.ID)
+		return false, sc.RemoveJob(m.ID)
 	case OpProgress:
-		_, err := sc.ReportProgress(m.ID, m.Done)
-		return err
+		return sc.ReportProgress(m.ID, m.Done)
 	case OpWeight:
-		return sc.UpdateWeight(m.ID, m.Weight)
+		return false, sc.UpdateWeight(m.ID, m.Weight)
 	case OpExternalWeight:
-		return sc.SetExternalWeight(m.Weight)
+		return false, sc.SetExternalWeight(m.Weight)
 	case OpSetPolicy:
-		return sc.SetPolicyName(m.Policy)
+		return false, sc.SetPolicyName(m.Policy)
 	case OpSetConfig:
 		if m.Config == nil {
-			return fmt.Errorf("wal: set_config mutation without config")
+			return false, ErrNoConfig
 		}
-		return sc.ApplyConfigPatch(*m.Config)
+		return false, sc.ApplyConfigPatch(*m.Config)
 	case OpRestore:
 		if m.State == nil {
-			return fmt.Errorf("wal: restore mutation without state")
+			return false, ErrNoState
 		}
-		return sc.Restore(*m.State)
+		return false, sc.Restore(*m.State)
 	default:
-		return fmt.Errorf("wal: unknown mutation op %q", m.Op)
+		return false, fmt.Errorf("wal: unknown mutation op %q", m.Op)
 	}
 }
 
@@ -166,7 +174,7 @@ func (r *Recovery) Replay(sc *scheduler.Scheduler) (ReplayStats, error) {
 		st.Batches++
 		for _, m := range ms {
 			st.Mutations++
-			if err := m.Apply(sc); err != nil {
+			if _, err := m.Apply(sc); err != nil {
 				st.Failed++
 			}
 		}
