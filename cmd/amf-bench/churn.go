@@ -1,36 +1,17 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/workload"
 )
 
-// churnOptions parameterizes the incremental-solve churn benchmark
-// (-churn): drive the same component-local mutation stream through an
-// unbatched serving engine with and without incremental re-solving, and
-// report the per-commit latency ratio.
-type churnOptions struct {
-	components int
-	jobs       int // per component
-	sites      int // per component
-	mutations  int
-	zipf       float64 // component-selection skew (0 = uniform)
-	seed       uint64
-	out        string // JSON results path ("" = skip)
-}
-
-// churnResult is the machine-readable record written to the -churn-out
-// JSON file (BENCH_incremental.json in CI).
+// churnResult is the machine-readable record of -mode churn
+// (BENCH_incremental.json in CI): the same component-local mutation
+// stream replayed with and without incremental re-solving.
 type churnResult struct {
 	Benchmark           string   `json:"benchmark"`
 	Env                 benchEnv `json:"env"`
@@ -54,27 +35,18 @@ type churnResult struct {
 // runChurn replays one generated churn stream through both scheduler
 // configurations, prints a comparison, and optionally writes the JSON
 // record.
-func runChurn(o churnOptions) error {
-	ch := workload.GenerateChurn(workload.ChurnConfig{
-		Sparse: workload.SparseConfig{
-			Components:        o.components,
-			JobsPerComponent:  o.jobs,
-			SitesPerComponent: o.sites,
-			Seed:              o.seed,
-		},
-		Mutations: o.mutations,
-		Seed:      o.seed + 1,
-		ZipfSkew:  o.zipf,
-	})
-
-	incNS, incStats, err := churnPass(ch, false)
+func runChurn(o options) error {
+	ch := churnStream(o)
+	inc, incSC, err := replay(ch, scheduler.Config{}, serve.Config{}, nil)
 	if err != nil {
 		return err
 	}
-	fullNS, _, err := churnPass(ch, true)
+	full, _, err := replay(ch, scheduler.Config{DisableIncremental: true}, serve.Config{}, nil)
 	if err != nil {
 		return err
 	}
+	incNS, fullNS := percentile(inc, 50), percentile(full, 50)
+	incStats := incSC.Stats()
 
 	res := churnResult{
 		Benchmark:           "incremental_churn",
@@ -92,10 +64,8 @@ func runChurn(o churnOptions) error {
 		LastResolved:        incStats.LastResolved,
 		CacheHits:           incStats.CacheHits,
 		CacheMisses:         incStats.CacheMisses,
+		CacheHitRatio:       cacheHitRatio(incStats),
 		GlobalInvalidations: incStats.GlobalInvalidations,
-	}
-	if total := incStats.CacheHits + incStats.CacheMisses; total > 0 {
-		res.CacheHitRatio = float64(incStats.CacheHits) / float64(total)
 	}
 
 	fmt.Printf("Churn benchmark: %d components x %d jobs x %d sites, %d single-component mutations (zipf %.2f), GOMAXPROCS=%d\n\n",
@@ -105,72 +75,5 @@ func runChurn(o churnOptions) error {
 	fmt.Printf("%-14s %20v\n", "incremental", time.Duration(incNS).Round(time.Microsecond))
 	fmt.Printf("\nfull/incremental: %.2fx  (last solve: %d reused, %d re-solved; cache %d hits / %d misses)\n",
 		res.Ratio, res.LastReused, res.LastResolved, res.CacheHits, res.CacheMisses)
-
-	if o.out != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.out, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", o.out)
-	}
-	return nil
-}
-
-// engineTarget adapts the context-aware engine to the ctx-less churn
-// replay interface; the bench has no cancellation story.
-type engineTarget struct{ eng *serve.Engine }
-
-func (t engineTarget) AddJob(id string, weight float64, demand, work []float64) error {
-	return t.eng.AddJob(context.Background(), id, weight, demand, work)
-}
-
-func (t engineTarget) RemoveJob(id string) error {
-	return t.eng.RemoveJob(context.Background(), id)
-}
-
-func (t engineTarget) UpdateWeight(id string, weight float64) error {
-	return t.eng.UpdateWeight(context.Background(), id, weight)
-}
-
-func (t engineTarget) ReportProgress(id string, done []float64) (bool, error) {
-	return t.eng.ReportProgress(context.Background(), id, done)
-}
-
-// churnPass replays the stream through an unbatched engine (one commit
-// per mutation) and returns the median commit latency plus the final
-// scheduler stats.
-func churnPass(ch *workload.Churn, disableIncremental bool) (int64, scheduler.Stats, error) {
-	sc, err := scheduler.New(scheduler.Config{
-		SiteCapacity:       ch.Inst.SiteCapacity,
-		DisableIncremental: disableIncremental,
-	})
-	if err != nil {
-		return 0, scheduler.Stats{}, err
-	}
-	// Populate before the engine starts: adds stay lazy, and the engine's
-	// initial publish performs the single warm-up solve.
-	if err := ch.Populate(sc); err != nil {
-		return 0, scheduler.Stats{}, err
-	}
-	eng, err := serve.New(sc, serve.Config{MaxBatch: 1})
-	if err != nil {
-		return 0, scheduler.Stats{}, err
-	}
-	defer eng.Close()
-
-	target := engineTarget{eng: eng}
-	times := make([]int64, 0, len(ch.Ops))
-	for _, op := range ch.Ops {
-		start := time.Now()
-		err := op.Apply(target)
-		if err != nil && !errors.Is(err, scheduler.ErrUnknownJob) && !errors.Is(err, scheduler.ErrDuplicateJob) {
-			return 0, scheduler.Stats{}, err
-		}
-		times = append(times, time.Since(start).Nanoseconds())
-	}
-	sort.Slice(times, func(a, b int) bool { return times[a] < times[b] })
-	return times[len(times)/2], sc.Stats(), nil
+	return writeResult(o.out, res)
 }

@@ -2,8 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -15,32 +13,11 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/cluster"
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/policy"
 	"repro/internal/wal"
-	"repro/internal/workload"
 )
-
-// clusterOptions parameterizes the cluster read-scaling benchmark
-// (-cluster): a WAL-durable primary under sustained churn writes ships
-// its log to N read replicas, and each serving endpoint's HTTP read
-// throughput is measured in isolation. Endpoints are measured one at a
-// time — on a shared test box that is the only honest way to estimate
-// per-machine serving capacity — and the aggregate assumes one endpoint
-// per machine, which is how replicas deploy.
-type clusterOptions struct {
-	replicas   int
-	readers    int // concurrent HTTP readers per endpoint
-	components int
-	jobs       int // per component
-	sites      int // per component
-	dur        time.Duration
-	writeIval  time.Duration
-	zipf       float64
-	seed       uint64
-	out        string // JSON results path ("" = skip)
-}
 
 // clusterEndpoint is one serving endpoint's measured read capacity.
 type clusterEndpoint struct {
@@ -48,8 +25,13 @@ type clusterEndpoint struct {
 	ReadsPerSecond float64 `json:"reads_per_second"`
 }
 
-// clusterResult is the machine-readable record written to -cluster-out
-// (BENCH_cluster.json in CI).
+// clusterResult is the machine-readable record of -mode cluster
+// (BENCH_cluster.json in CI): a WAL-durable primary under sustained churn
+// writes ships its log to N read replicas, and each serving endpoint's
+// HTTP read throughput is measured in isolation. Endpoints are measured
+// one at a time — on a shared test box that is the only honest way to
+// estimate per-machine serving capacity — and the aggregate assumes one
+// endpoint per machine, which is how replicas deploy.
 type clusterResult struct {
 	Benchmark          string            `json:"benchmark"`
 	Env                benchEnv          `json:"env"`
@@ -78,20 +60,11 @@ type clusterResult struct {
 // keeps a churn writer running against the primary for the whole run,
 // measures each endpoint's saturated read throughput, and verifies the
 // replicas converge to the primary's exact allocation afterwards.
-func runClusterBench(o clusterOptions) error {
+func runClusterBench(o options) error {
 	const pollIval = 5 * time.Millisecond
 
-	ch := workload.GenerateChurn(workload.ChurnConfig{
-		Sparse: workload.SparseConfig{
-			Components:        o.components,
-			JobsPerComponent:  o.jobs,
-			SitesPerComponent: o.sites,
-			Seed:              o.seed,
-		},
-		Mutations: 4096,
-		Seed:      o.seed + 1,
-		ZipfSkew:  o.zipf,
-	})
+	o.mutations = 4096 // the writer cycles a fixed-length stream
+	ch := churnStream(o)
 	caps := ch.Inst.SiteCapacity
 
 	// Primary: WAL-durable engine behind the real API server.
@@ -161,12 +134,11 @@ func runClusterBench(o clusterOptions) error {
 				return
 			default:
 			}
-			err := ch.Ops[i%len(ch.Ops)].Apply(target)
-			if err != nil && !errors.Is(err, scheduler.ErrUnknownJob) && !errors.Is(err, scheduler.ErrDuplicateJob) {
+			if err := applyOp(target, ch.Ops[i%len(ch.Ops)]); err != nil {
 				return
 			}
 			writerOps.Add(1)
-			time.Sleep(o.writeIval)
+			time.Sleep(o.writeInterval)
 		}
 	}()
 
@@ -260,7 +232,7 @@ func runClusterBench(o clusterOptions) error {
 		ZipfSkew:           o.zipf,
 		ReadersPerEndpoint: o.readers,
 		DurationSeconds:    o.dur.Seconds(),
-		WriterIntervalMS:   float64(o.writeIval) / float64(time.Millisecond),
+		WriterIntervalMS:   float64(o.writeInterval) / float64(time.Millisecond),
 		WriterMutations:    writerOps.Load(),
 		Endpoints:          endpoints,
 		SingleEngineRPS:    endpoints[0].ReadsPerSecond,
@@ -278,7 +250,7 @@ func runClusterBench(o clusterOptions) error {
 	}
 
 	fmt.Printf("Cluster read-scaling benchmark: %d replicas, %d readers/endpoint, %v/endpoint, writer every %v, zipf %.2f\n\n",
-		o.replicas, o.readers, o.dur, o.writeIval, o.zipf)
+		o.replicas, o.readers, o.dur, o.writeInterval, o.zipf)
 	fmt.Printf("%-12s %16s\n", "endpoint", "reads/sec")
 	for _, ep := range endpoints {
 		fmt.Printf("%-12s %16.0f\n", ep.Role, ep.ReadsPerSecond)
@@ -287,18 +259,7 @@ func runClusterBench(o clusterOptions) error {
 		res.AggregateRPS, res.ScalingVsSingle, res.WriterMutations)
 	fmt.Printf("staleness: max %.1fms behind head (lag %d bytes / %d segments); final catch-up %.1fms at %.0fms poll\n",
 		res.MaxStalenessMS, maxLagBytes.Load(), maxLagSegments.Load(), res.FinalCatchupMS, res.ReplicaPollMS)
-
-	if o.out != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.out, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", o.out)
-	}
-	return nil
+	return writeResult(o.out, res)
 }
 
 // waitReplicas blocks until every replica has applied the log's durable

@@ -1,12 +1,8 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -15,24 +11,11 @@ import (
 	"repro/internal/workload"
 )
 
-// contentionOptions parameterizes the phase-reconciliation benchmark
-// (-contention): replay a skew-contended churn stream — component sizes
-// and mutation popularity both Zipf, so one giant component absorbs most
-// ops — through the engine's exact ordered path and through phase
-// reconciliation, and compare per-commit acknowledged latency.
-type contentionOptions struct {
-	components   int
-	jobs         int // total, zipf-split across components
-	sites        int // per component
-	mutations    int
-	skew         float64
-	hotThreshold float64
-	out          string // JSON results path ("" = skip)
-	seed         uint64
-}
-
-// contentionResult is the machine-readable record written to the
-// -contention-out JSON file (BENCH_contention.json in CI).
+// contentionResult is the machine-readable record of -mode contention
+// (BENCH_contention.json in CI): a skew-contended churn stream —
+// component sizes and mutation popularity both Zipf, so one giant
+// component absorbs most ops — replayed through the engine's exact
+// ordered path and through phase reconciliation.
 type contentionResult struct {
 	Benchmark         string   `json:"benchmark"`
 	Env               benchEnv `json:"env"`
@@ -61,26 +44,30 @@ type contentionResult struct {
 // runContention replays one generated contention stream through both
 // engine configurations, prints a comparison, and optionally writes the
 // JSON record.
-func runContention(o contentionOptions) error {
+func runContention(o options) error {
 	ch := workload.GenerateContention(workload.ContentionConfig{
 		Components:        o.components,
 		Jobs:              o.jobs,
 		SitesPerComponent: o.sites,
 		Mutations:         o.mutations,
-		Skew:              o.skew,
+		Skew:              o.zipf,
 		Seed:              o.seed,
 	})
 
-	orderedNS, _, err := contentionPass(ch, scheduler.PhaseConfig{})
+	// Both passes carry a metrics registry, so the comparison isolates
+	// phase reconciliation; the phase pass's registry holds its telemetry.
+	ordered, _, err := replay(&ch.Churn, scheduler.Config{}, serve.Config{Metrics: obs.NewRegistry()}, nil)
 	if err != nil {
 		return err
 	}
-	phaseNS, tele, err := contentionPass(ch, scheduler.PhaseConfig{
-		HotThreshold: o.hotThreshold,
-	})
+	reg := obs.NewRegistry()
+	phase, phaseSC, err := replay(&ch.Churn,
+		scheduler.Config{Phase: scheduler.PhaseConfig{HotThreshold: o.hotThreshold}},
+		serve.Config{Metrics: reg}, nil)
 	if err != nil {
 		return err
 	}
+	orderedNS, phaseNS := percentile(ordered, 50), percentile(phase, 50)
 
 	res := contentionResult{
 		Benchmark:         "phase_contention",
@@ -89,99 +76,30 @@ func runContention(o contentionOptions) error {
 		Jobs:              o.jobs,
 		SitesPerComponent: o.sites,
 		Mutations:         o.mutations,
-		Skew:              o.skew,
+		Skew:              o.zipf,
 		HotThreshold:      o.hotThreshold,
 		GOMAXPROCS:        runtime.GOMAXPROCS(0),
 		ComponentSizes:    ch.Sizes,
 		OrderedMedianNS:   orderedNS,
 		PhaseMedianNS:     phaseNS,
 		Ratio:             float64(orderedNS) / float64(phaseNS),
-		Buffered:          tele.buffered,
-		Reconciles:        tele.reconciles,
-		ForcedReconciles:  tele.forced,
+		Buffered:          reg.Counter("engine.phase_buffered_total").Value(),
+		Reconciles:        reg.Counter("engine.phase_reconciles_total").Value(),
+		ForcedReconciles:  reg.Counter("engine.phase_forced_reconciles_total").Value(),
 		// The windowed companion gauge is the headline cache number: the
 		// lifetime counter ratio underreports steady-state behaviour the
 		// moment one policy switch or restore resets the solver (see
 		// engine.cache_hit_ratio_window).
-		CacheHitRatioWindow: tele.hitRatioWindow,
-		CacheHitRatio:       tele.hitRatioLifetime,
+		CacheHitRatioWindow: reg.Gauge("engine.cache_hit_ratio_window").Value(),
+		CacheHitRatio:       cacheHitRatio(phaseSC.Stats()),
 	}
 
 	fmt.Printf("Contention benchmark: %d jobs over %d components (sizes %v), %d mutations, skew %.2f, GOMAXPROCS=%d\n\n",
-		o.jobs, o.components, ch.Sizes, o.mutations, o.skew, res.GOMAXPROCS)
+		o.jobs, o.components, ch.Sizes, o.mutations, o.zipf, res.GOMAXPROCS)
 	fmt.Printf("%-22s %20s\n", "path", "median commit")
 	fmt.Printf("%-22s %20v\n", "ordered (exact)", time.Duration(orderedNS).Round(time.Microsecond))
 	fmt.Printf("%-22s %20v\n", "phase-reconciled", time.Duration(phaseNS).Round(time.Microsecond))
 	fmt.Printf("\nordered/phase: %.2fx  (%d ops buffered, %d reconciles, %d forced; windowed cache hit ratio %.3f)\n",
 		res.Ratio, res.Buffered, res.Reconciles, res.ForcedReconciles, res.CacheHitRatioWindow)
-
-	if o.out != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.out, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", o.out)
-	}
-	return nil
-}
-
-// contentionTelemetry is what the phase pass reads back from the engine's
-// metrics registry after the replay.
-type contentionTelemetry struct {
-	buffered         int64
-	reconciles       int64
-	forced           int64
-	hitRatioWindow   float64
-	hitRatioLifetime float64
-}
-
-// contentionPass replays the stream through an unbatched engine (one
-// commit per acknowledged mutation) under the given phase config and
-// returns the median acknowledged-commit latency plus phase telemetry.
-func contentionPass(ch *workload.Contention, phase scheduler.PhaseConfig) (int64, contentionTelemetry, error) {
-	sc, err := scheduler.New(scheduler.Config{SiteCapacity: ch.Inst.SiteCapacity})
-	if err != nil {
-		return 0, contentionTelemetry{}, err
-	}
-	if err := sc.SetPhaseConfig(phase); err != nil {
-		return 0, contentionTelemetry{}, err
-	}
-	if err := ch.Populate(sc); err != nil {
-		return 0, contentionTelemetry{}, err
-	}
-	reg := obs.NewRegistry()
-	eng, err := serve.New(sc, serve.Config{MaxBatch: 1, Metrics: reg})
-	if err != nil {
-		return 0, contentionTelemetry{}, err
-	}
-	defer eng.Close()
-
-	target := engineTarget{eng: eng}
-	times := make([]int64, 0, len(ch.Ops))
-	for _, op := range ch.Ops {
-		start := time.Now()
-		err := op.Apply(target)
-		if err != nil && !errors.Is(err, scheduler.ErrUnknownJob) && !errors.Is(err, scheduler.ErrDuplicateJob) {
-			return 0, contentionTelemetry{}, err
-		}
-		times = append(times, time.Since(start).Nanoseconds())
-	}
-	// Drain outstanding deltas so the telemetry covers the whole stream.
-	_ = eng.Snapshot()
-
-	tele := contentionTelemetry{
-		buffered:       reg.Counter("engine.phase_buffered_total").Value(),
-		reconciles:     reg.Counter("engine.phase_reconciles_total").Value(),
-		forced:         reg.Counter("engine.phase_forced_reconciles_total").Value(),
-		hitRatioWindow: reg.Gauge("engine.cache_hit_ratio_window").Value(),
-	}
-	st := sc.Stats()
-	if total := st.CacheHits + st.CacheMisses; total > 0 {
-		tele.hitRatioLifetime = float64(st.CacheHits) / float64(total)
-	}
-	sort.Slice(times, func(a, b int) bool { return times[a] < times[b] })
-	return times[len(times)/2], tele, nil
+	return writeResult(o.out, res)
 }

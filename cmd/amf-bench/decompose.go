@@ -1,32 +1,18 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/workload"
 )
 
-// decomposeOptions parameterizes the decomposition benchmark
-// (-decompose): solve the same block-diagonal sparse instance with the
-// monolithic single-network path and with the component-decomposed
-// parallel path, and report the ratio.
-type decomposeOptions struct {
-	components int
-	jobs       int // per component
-	sites      int // per component
-	trials     int
-	seed       uint64
-	out        string // JSON results path ("" = skip)
-}
-
-// decomposeResult is the machine-readable benchmark record written to
-// the -decompose-out JSON file (BENCH_solver.json in CI).
+// decomposeResult is the machine-readable record of -mode decompose
+// (BENCH_solver.json in CI): the same block-diagonal sparse instance
+// solved by the monolithic single-network path and by the
+// component-decomposed parallel path.
 type decomposeResult struct {
 	Benchmark         string   `json:"benchmark"`
 	Env               benchEnv `json:"env"`
@@ -45,7 +31,7 @@ type decomposeResult struct {
 
 // runDecompose times both solver paths over the same warm solver per
 // mode, prints a comparison, and optionally writes the JSON record.
-func runDecompose(o decomposeOptions) error {
+func runDecompose(o options) error {
 	in := workload.GenerateSparse(workload.SparseConfig{
 		Components:        o.components,
 		JobsPerComponent:  o.jobs,
@@ -88,18 +74,7 @@ func runDecompose(o decomposeOptions) error {
 	fmt.Printf("%-12s %16v\n", "decomposed", time.Duration(decNS).Round(time.Microsecond))
 	fmt.Printf("\nmono/decomposed: %.2fx  (components=%d largest=%d parallel speedup=%.2fx)\n",
 		res.Ratio, st.Components, st.LargestComponent, st.Speedup)
-
-	if o.out != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.out, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", o.out)
-	}
-	return nil
+	return writeResult(o.out, res)
 }
 
 // timeSolves returns the median wall time of trials AMF solves on a warm
@@ -116,6 +91,5 @@ func timeSolves(sv *core.Solver, in *core.Instance, trials int) (int64, error) {
 		}
 		times = append(times, time.Since(start).Nanoseconds())
 	}
-	sort.Slice(times, func(a, b int) bool { return times[a] < times[b] })
-	return times[len(times)/2], nil
+	return percentile(sortNS(times), 50), nil
 }

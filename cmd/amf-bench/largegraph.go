@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -12,17 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/workload"
 )
-
-// largegraphOptions configures the large-graph approximation sweep
-// (-largegraph): exact vs approximate water-filling over a ladder of
-// single-component bipartite graphs growing to ~10^6 demand edges.
-type largegraphOptions struct {
-	tiers   string  // "jobs:sites:degree" triples, comma separated ("" = default ladder)
-	epsilon float64 // deviation budget as a fraction of instance scale
-	trials  int     // timed approximate solves per tier (median kept)
-	seed    uint64
-	out     string // JSON results path ("" = skip)
-}
 
 // defaultLargegraphTiers grows edge count ~4x per tier while keeping the
 // job count (which drives the exact path's freeze-round count, and with
@@ -36,7 +23,7 @@ type largegraphTier struct {
 	Degree int `json:"degree"`
 	Edges  int `json:"edges"`
 	// ExactNS is a single timed exact solve (the baseline is far too slow
-	// to repeat at the large tiers); ApproxNS is the median of -largegraph-trials.
+	// to repeat at the large tiers); ApproxNS is the median of -trials.
 	ExactNS  int64   `json:"exact_ns"`
 	ApproxNS int64   `json:"approx_ns"`
 	Speedup  float64 `json:"speedup"`
@@ -48,8 +35,10 @@ type largegraphTier struct {
 	ErrorBound   float64 `json:"error_bound"`
 }
 
-// largegraphResult is the record written to -largegraph-out
-// (BENCH_largegraph.json in CI).
+// largegraphResult is the machine-readable record of -mode largegraph
+// (BENCH_largegraph.json in CI): exact vs approximate water-filling over
+// a ladder of single-component bipartite graphs growing to ~10^6 demand
+// edges.
 type largegraphResult struct {
 	Benchmark string           `json:"benchmark"`
 	Env       benchEnv         `json:"env"`
@@ -88,15 +77,9 @@ func parseLargegraphTiers(s string) ([][3]int, error) {
 // runLargegraph sweeps the tier ladder: per tier, one timed exact solve,
 // trials timed approximate solves (median), and the measured max per-job
 // deviation against the epsilon budget.
-func runLargegraph(o largegraphOptions) error {
+func runLargegraph(o options) error {
 	if o.epsilon <= 0 || math.IsNaN(o.epsilon) || math.IsInf(o.epsilon, 0) {
-		return fmt.Errorf("-largegraph-epsilon must be a positive finite fraction, got %g", o.epsilon)
-	}
-	if o.trials <= 0 {
-		o.trials = 3
-	}
-	if o.tiers == "" {
-		o.tiers = defaultLargegraphTiers
+		return fmt.Errorf("-epsilon must be a positive finite fraction, got %g", o.epsilon)
 	}
 	tiers, err := parseLargegraphTiers(o.tiers)
 	if err != nil {
@@ -154,7 +137,7 @@ func runLargegraph(o largegraphOptions) error {
 			}
 			samples = append(samples, time.Since(start).Nanoseconds())
 		}
-		approxNS := medianNS(samples)
+		approxNS := percentile(sortNS(samples), 50)
 
 		var maxdev float64
 		for j := 0; j < in.NumJobs(); j++ {
@@ -181,26 +164,5 @@ func runLargegraph(o largegraphOptions) error {
 			return fmt.Errorf("tier %d: deviation %g exceeds budget %g", ti, maxdev, tier.Budget)
 		}
 	}
-
-	if o.out != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.out, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", o.out)
-	}
-	return nil
-}
-
-func medianNS(samples []int64) int64 {
-	s := append([]int64(nil), samples...)
-	for i := 1; i < len(s); i++ {
-		for k := i; k > 0 && s[k] < s[k-1]; k-- {
-			s[k], s[k-1] = s[k-1], s[k]
-		}
-	}
-	return s[len(s)/2]
+	return writeResult(o.out, res)
 }

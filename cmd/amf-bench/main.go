@@ -10,341 +10,214 @@
 //	amf-bench -seed 7         # different workload seed
 //	amf-bench -list           # list experiment IDs and titles
 //
-// A separate serving-throughput mode benchmarks the concurrent engine
-// (internal/serve) under mixed mutator/reader load, batched group commit
-// vs. one solve per mutation:
+// -mode selects one systems benchmark instead. Every mode reads the same
+// flag set; a flag left unset takes the mode's own default (see modes),
+// and -out names the machine-readable JSON result file:
 //
-//	amf-bench -serve                            # 8 mutators + 8 readers
-//	amf-bench -serve -serve-mutators 16 -serve-dur 5s
+//	amf-bench -mode churn                       # incremental vs full re-solve per commit
+//	amf-bench -mode churn -zipf 1.2 -out BENCH_incremental.json
+//	amf-bench -mode contention                  # ordered vs phase-reconciled commits under zipf contention
+//	amf-bench -mode policybench -policies amf,drf
+//	amf-bench -mode obs -cpuprofile obs.pprof   # metrics+tracing overhead and span coverage
+//	amf-bench -mode wal -mutators 16            # WAL vs in-memory acknowledged latency
+//	amf-bench -mode cluster -replicas 2         # read scaling with WAL-shipped replicas
+//	amf-bench -mode largegraph -tiers 200:16:4,400:32:8
+//	amf-bench -mode decompose -out BENCH_solver.json
 //
-// A decomposition mode compares the monolithic solve against the
-// component-decomposed parallel path on a block-diagonal sparse
-// instance, optionally emitting machine-readable results:
-//
-//	amf-bench -decompose
-//	amf-bench -decompose -decompose-components 128 -decompose-out BENCH_solver.json
-//
-// A churn mode replays a component-local mutation stream through the
-// serving engine with and without incremental re-solving and compares
-// per-commit latency:
-//
-//	amf-bench -churn
-//	amf-bench -churn -churn-mutations 2048 -churn-out BENCH_incremental.json
-//	amf-bench -churn -zipf 1.2        # skew churn onto a few hot components
-//
-// A contention mode replays a zipf-contended churn stream — component
-// sizes and mutation popularity both skewed, so one giant component
-// absorbs most commits — through the exact ordered path and through
-// Doppel-style phase reconciliation, comparing acknowledged per-commit
-// latency:
-//
-//	amf-bench -contention
-//	amf-bench -contention -contention-skew 1.2 -contention-out BENCH_contention.json
-//
-// A cluster mode measures read-throughput scaling with WAL-shipped read
-// replicas: a durable primary under sustained churn ships its log to N
-// replicas and each endpoint's saturated HTTP read rate is measured in
-// isolation, along with the replicas' worst observed lag:
-//
-//	amf-bench -cluster
-//	amf-bench -cluster -cluster-replicas 2 -cluster-out BENCH_cluster.json
-//
-// An observability mode replays the same mutation stream with the
-// metrics/tracing stack off and fully on and reports the per-commit
-// overhead plus the recorded traces' span coverage:
-//
-//	amf-bench -obs
-//	amf-bench -obs -obs-out BENCH_obs.json -obs-cpuprofile obs.pprof
-//
-// A large-graph mode sweeps a ladder of single-component bipartite
-// graphs growing to ~10^6 demand edges and compares the exact
-// water-filling solve against the approximate fast path (ApproxEpsilon/
-// ApproxThreshold), reporting per-tier speedup and the measured max
-// per-job deviation against the epsilon budget:
-//
-//	amf-bench -largegraph
-//	amf-bench -largegraph -largegraph-epsilon 0.01 -largegraph-out BENCH_largegraph.json
-//	amf-bench -largegraph -largegraph-tiers 200:16:4,400:32:8   # smoke sizes
-//
-// A durability mode measures the acknowledged mutation latency of the
-// write-ahead-logged engine against the in-memory engine under the same
-// concurrent workload (group commit shares one fsync per batch):
-//
-//	amf-bench -wal
-//	amf-bench -wal -wal-mutators 16 -wal-out BENCH_wal.json
-//
-// Output is the same Render() text the root-level benchmarks produce, so
-// `go test -bench` and this tool can never drift apart.
+// The paper-experiment output is the same Render() text the root-level
+// benchmarks produce, so `go test -bench` and this tool can never drift
+// apart.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
 )
 
+// options is the one flag set every mode reads.
+type options struct {
+	mode string
+
+	// Paper experiments (no -mode).
+	run    string
+	quick  bool
+	list   bool
+	format string
+
+	// Shared by the modes; -out and -seed also by the experiments.
+	out        string
+	seed       uint64
+	components int
+	jobs       int
+	sites      int
+	mutations  int
+	trials     int
+	zipf       float64
+	mutators   int
+	readers    int
+	batch      int
+	window     time.Duration
+	dur        time.Duration
+
+	// Mode-specific.
+	replicas      int
+	writeInterval time.Duration
+	tiers         string
+	epsilon       float64
+	policies      string
+	hotThreshold  float64
+	dir           string
+	cpuprofile    string
+}
+
+// benchMode is one -mode benchmark: the sizing it runs when no flag
+// overrides it, and its runner.
+type benchMode struct {
+	defaults options
+	run      func(options) error
+}
+
+// modes maps each -mode name to its defaults and runner.
+var modes = map[string]benchMode{
+	"churn":       {options{components: 64, jobs: 16, sites: 4, mutations: 512}, runChurn},
+	"contention":  {options{components: 8, jobs: 512, sites: 4, mutations: 4096, zipf: 1.1, hotThreshold: 0.5}, runContention},
+	"policybench": {options{components: 16, jobs: 4, sites: 3, mutations: 256}, runPolicyBench},
+	"obs":         {options{components: 64, jobs: 16, sites: 4, mutations: 512, trials: 3}, runObsBench},
+	"wal":         {options{mutators: 8, jobs: 256, sites: 16, mutations: 100, window: time.Millisecond}, runWALBench},
+	"cluster": {options{replicas: 2, readers: 4, components: 16, jobs: 4, sites: 3,
+		dur: 1500 * time.Millisecond, writeInterval: 2 * time.Millisecond}, runClusterBench},
+	"largegraph": {options{tiers: defaultLargegraphTiers, epsilon: 0.01, trials: 3}, runLargegraph},
+	"decompose":  {options{components: 64, jobs: 16, sites: 4, trials: 5}, runDecompose},
+}
+
+// bind registers every flag on fs, each defaulting to o's current value.
+func (o *options) bind(fs *flag.FlagSet) {
+	names := make([]string, 0, len(modes))
+	for name := range modes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	fs.StringVar(&o.mode, "mode", o.mode, "run one benchmark instead of the paper experiments: "+strings.Join(names, ", "))
+
+	fs.StringVar(&o.run, "run", o.run, "comma-separated experiment IDs (default: all)")
+	fs.BoolVar(&o.quick, "quick", o.quick, "reduced experiment sizes and trial counts")
+	fs.BoolVar(&o.list, "list", o.list, "list experiments and exit")
+	fs.StringVar(&o.format, "format", o.format, "experiment output format: text or md")
+
+	fs.StringVar(&o.out, "out", o.out, "with -mode: write the JSON result to this file; without: also write each experiment's report into this directory")
+	fs.Uint64Var(&o.seed, "seed", o.seed, "workload seed (experiments and largegraph: 0 = 2019)")
+	fs.IntVar(&o.components, "components", o.components, "independent components in the generated instance")
+	fs.IntVar(&o.jobs, "jobs", o.jobs, "jobs per component (contention: total, zipf-split; wal: preloaded)")
+	fs.IntVar(&o.sites, "sites", o.sites, "sites per component (wal: total)")
+	fs.IntVar(&o.mutations, "mutations", o.mutations, "mutations replayed per configuration (wal: per mutator; cluster: fixed 4096-op writer stream)")
+	fs.IntVar(&o.trials, "trials", o.trials, "timed repetitions, median or best kept (obs: alternating reps; largegraph: approx solves per tier; decompose: solves per path)")
+	fs.Float64Var(&o.zipf, "zipf", o.zipf, "Zipf skew of component popularity: hit probability ∝ rank^(-s), 0 = uniform (contention: also component sizes; obs: always uniform)")
+	fs.IntVar(&o.mutators, "mutators", o.mutators, "concurrent mutator goroutines (wal)")
+	fs.IntVar(&o.readers, "readers", o.readers, "concurrent HTTP readers per endpoint (cluster)")
+	fs.IntVar(&o.batch, "batch", o.batch, "engine MaxBatch (wal; 0 = mutator count)")
+	fs.DurationVar(&o.window, "window", o.window, "engine BatchWindow (wal)")
+	fs.DurationVar(&o.dur, "dur", o.dur, "read measurement duration per endpoint (cluster)")
+
+	fs.IntVar(&o.replicas, "replicas", o.replicas, "read replicas in the scaled configuration (cluster)")
+	fs.DurationVar(&o.writeInterval, "write-interval", o.writeInterval, "pause between sustained writer mutations (cluster)")
+	fs.StringVar(&o.tiers, "tiers", o.tiers, "jobs:sites:degree triples, comma separated (largegraph)")
+	fs.Float64Var(&o.epsilon, "epsilon", o.epsilon, "approximation deviation budget as a fraction of instance scale (largegraph)")
+	fs.StringVar(&o.policies, "policies", o.policies, "comma-separated policy subset, default every registered policy (policybench)")
+	fs.Float64Var(&o.hotThreshold, "hot-threshold", o.hotThreshold, "phase classifier hot threshold for the phase-reconciled pass (contention)")
+	fs.StringVar(&o.dir, "dir", o.dir, "WAL directory for the durable pass, default a fresh temp dir (wal)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", o.cpuprofile, "write a CPU profile of the last instrumented replay's timed ops to this file (obs)")
+}
+
+// parseOptions parses args over the defaults of the mode they select.
+// A first, silent pass only finds -mode; the second parses over that
+// mode's defaults (the paper experiments' without -mode), so a flag the
+// command line leaves unset keeps the mode's own value and -h lists it.
+func parseOptions(args []string) (options, error) {
+	o := options{format: "text"}
+	fs := flag.NewFlagSet("amf-bench", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	o.bind(fs)
+	_ = fs.Parse(args) // any error resurfaces, reported, in the second pass
+	what := "the paper experiments; -mode X -h lists mode X's"
+	if o.mode != "" {
+		m, ok := modes[o.mode]
+		if !ok {
+			return o, fmt.Errorf("unknown -mode %q", o.mode)
+		}
+		what = "-mode " + o.mode
+		o = m.defaults
+	} else {
+		o = options{format: "text"}
+	}
+	fs = flag.NewFlagSet("amf-bench", flag.ContinueOnError)
+	o.bind(fs)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "Usage of amf-bench (defaults of %s):\n", what)
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	// A count the mode uses (its default is positive) must stay
+	// positive: zero trials or mutations would time an empty sample set.
+	var err error
+	fs.VisitAll(func(f *flag.Flag) {
+		if n, ok := f.Value.(flag.Getter).Get().(int); ok && n <= 0 && f.DefValue != "0" && err == nil {
+			err = fmt.Errorf("-%s must be positive, got %d", f.Name, n)
+		}
+	})
+	return o, err
+}
+
 func main() {
-	var (
-		runIDs = flag.String("run", "", "comma-separated experiment IDs (default: all)")
-		quick  = flag.Bool("quick", false, "reduced sizes and trial counts")
-		seed   = flag.Uint64("seed", 0, "workload seed (default 2019)")
-		list   = flag.Bool("list", false, "list experiments and exit")
-		format = flag.String("format", "text", "output format: text or md")
-		outDir = flag.String("out", "", "also write each experiment's report into this directory")
-
-		serveMode    = flag.Bool("serve", false, "run the serving-throughput benchmark instead of experiments")
-		serveMut     = flag.Int("serve-mutators", 8, "concurrent mutator goroutines")
-		serveReaders = flag.Int("serve-readers", 8, "concurrent reader goroutines")
-		serveJobs    = flag.Int("serve-jobs", 64, "preloaded job count")
-		serveSites   = flag.Int("serve-sites", 8, "site count")
-		serveBatch   = flag.Int("serve-batch", 0, "MaxBatch for the batched configuration (0 = mutator count)")
-		serveWindow  = flag.Duration("serve-window", time.Millisecond, "BatchWindow for the batched configuration")
-		serveDur     = flag.Duration("serve-dur", 2*time.Second, "measurement duration per configuration")
-
-		decompMode   = flag.Bool("decompose", false, "run the decomposition benchmark (monolithic vs component-parallel solve)")
-		decompComps  = flag.Int("decompose-components", 64, "independent components in the sparse instance")
-		decompJobs   = flag.Int("decompose-jobs", 16, "jobs per component")
-		decompSites  = flag.Int("decompose-sites", 4, "sites per component")
-		decompTrials = flag.Int("decompose-trials", 5, "timed solves per path (median reported)")
-		decompOut    = flag.String("decompose-out", "", "write machine-readable results to this JSON file (e.g. BENCH_solver.json)")
-
-		walMode     = flag.Bool("wal", false, "run the durability-overhead benchmark (acknowledged mutation latency, WAL vs in-memory)")
-		walMutators = flag.Int("wal-mutators", 8, "concurrent mutator goroutines")
-		walJobs     = flag.Int("wal-jobs", 256, "preloaded job count")
-		walSites    = flag.Int("wal-sites", 16, "site count")
-		walOps      = flag.Int("wal-ops", 100, "mutations per mutator")
-		walBatch    = flag.Int("wal-batch", 0, "MaxBatch for both configurations (0 = mutator count)")
-		walWindow   = flag.Duration("wal-window", time.Millisecond, "BatchWindow for both configurations")
-		walDir      = flag.String("wal-dir", "", "WAL directory for the durable pass (default: fresh temp dir)")
-		walOut      = flag.String("wal-out", "", "write machine-readable results to this JSON file (e.g. BENCH_wal.json)")
-
-		contMode      = flag.Bool("contention", false, "run the phase-reconciliation benchmark (per-commit latency on zipf-contended churn, ordered vs phase-reconciled)")
-		contComps     = flag.Int("contention-components", 8, "independent components (sizes zipf-split)")
-		contJobs      = flag.Int("contention-jobs", 512, "total base jobs, split across components by the skew law")
-		contSites     = flag.Int("contention-sites", 4, "sites per component")
-		contMutations = flag.Int("contention-mutations", 4096, "mutations replayed per configuration")
-		contSkew      = flag.Float64("contention-skew", 1.1, "Zipf exponent for component sizes and mutation popularity")
-		contHot       = flag.Float64("contention-hot-threshold", 0.5, "phase classifier hot threshold for the phase-reconciled pass")
-		contOut       = flag.String("contention-out", "", "write machine-readable results to this JSON file (e.g. BENCH_contention.json)")
-
-		churnMode      = flag.Bool("churn", false, "run the incremental-churn benchmark (per-commit latency, incremental vs full re-solve)")
-		churnComps     = flag.Int("churn-components", 64, "independent components in the sparse instance")
-		churnJobs      = flag.Int("churn-jobs", 16, "jobs per component")
-		churnSites     = flag.Int("churn-sites", 4, "sites per component")
-		churnMutations = flag.Int("churn-mutations", 512, "single-component mutations replayed per configuration")
-		churnOut       = flag.String("churn-out", "", "write machine-readable results to this JSON file (e.g. BENCH_incremental.json)")
-
-		zipf = flag.Float64("zipf", 0, "Zipf skew for churn component selection: hit probability ∝ rank^(-s), 0 = uniform (used by -churn, -cluster, and -policybench)")
-
-		polMode      = flag.Bool("policybench", false, "run the fairness-policy comparison benchmark (per-commit latency per policy over one churn stream)")
-		polComps     = flag.Int("policybench-components", 16, "independent components in the churned instance")
-		polJobs      = flag.Int("policybench-jobs", 4, "jobs per component")
-		polSites     = flag.Int("policybench-sites", 3, "sites per component")
-		polMutations = flag.Int("policybench-mutations", 256, "mutations replayed per policy")
-		polNames     = flag.String("policybench-policies", "", "comma-separated policy subset (default: every registered policy)")
-		polOut       = flag.String("policybench-out", "", "write machine-readable results to this JSON file (e.g. BENCH_policy.json)")
-
-		clusterMode      = flag.Bool("cluster", false, "run the cluster read-scaling benchmark (primary + WAL-shipped read replicas)")
-		clusterReplicas  = flag.Int("cluster-replicas", 2, "read replicas in the scaled configuration")
-		clusterReaders   = flag.Int("cluster-readers", 4, "concurrent HTTP readers per endpoint")
-		clusterComps     = flag.Int("cluster-components", 16, "independent components in the churned instance")
-		clusterJobs      = flag.Int("cluster-jobs", 4, "jobs per component")
-		clusterSites     = flag.Int("cluster-sites", 3, "sites per component")
-		clusterDur       = flag.Duration("cluster-dur", 1500*time.Millisecond, "read measurement duration per endpoint")
-		clusterWriteIval = flag.Duration("cluster-write-interval", 2*time.Millisecond, "pause between sustained writer mutations")
-		clusterOut       = flag.String("cluster-out", "", "write machine-readable results to this JSON file (e.g. BENCH_cluster.json)")
-
-		largeMode   = flag.Bool("largegraph", false, "run the large-graph approximation sweep (exact vs approximate water-filling)")
-		largeTiers  = flag.String("largegraph-tiers", "", "jobs:sites:degree triples, comma separated (default: a ladder growing to ~10^6 edges)")
-		largeEps    = flag.Float64("largegraph-epsilon", 0.01, "approximation deviation budget as a fraction of instance scale")
-		largeTrials = flag.Int("largegraph-trials", 3, "timed approximate solves per tier (median reported; exact runs once)")
-		largeOut    = flag.String("largegraph-out", "", "write machine-readable results to this JSON file (e.g. BENCH_largegraph.json)")
-
-		obsMode      = flag.Bool("obs", false, "run the observability-overhead benchmark (per-commit latency, metrics+tracing vs plain)")
-		obsComps     = flag.Int("obs-components", 64, "independent components in the sparse instance")
-		obsJobs      = flag.Int("obs-jobs", 16, "jobs per component")
-		obsSites     = flag.Int("obs-sites", 4, "sites per component")
-		obsMutations = flag.Int("obs-mutations", 512, "mutations replayed per configuration")
-		obsReps      = flag.Int("obs-reps", 3, "alternating repetitions per configuration (best median kept)")
-		obsOut       = flag.String("obs-out", "", "write machine-readable results to this JSON file (e.g. BENCH_obs.json)")
-		obsProfile   = flag.String("obs-cpuprofile", "", "write a CPU profile of the instrumented pass to this file")
-	)
-	flag.Parse()
-
-	if *largeMode {
-		if err := runLargegraph(largegraphOptions{
-			tiers:   *largeTiers,
-			epsilon: *largeEps,
-			trials:  *largeTrials,
-			seed:    *seed,
-			out:     *largeOut,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "amf-bench:", err)
-			os.Exit(1)
-		}
+	o, err := parseOptions(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
 		return
 	}
-
-	if *clusterMode {
-		if err := runClusterBench(clusterOptions{
-			replicas:   *clusterReplicas,
-			readers:    *clusterReaders,
-			components: *clusterComps,
-			jobs:       *clusterJobs,
-			sites:      *clusterSites,
-			dur:        *clusterDur,
-			writeIval:  *clusterWriteIval,
-			zipf:       *zipf,
-			seed:       *seed,
-			out:        *clusterOut,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "amf-bench:", err)
-			os.Exit(1)
+	if err == nil {
+		if o.mode != "" {
+			err = modes[o.mode].run(o)
+		} else {
+			err = runExperiments(o)
 		}
-		return
 	}
-
-	if *obsMode {
-		if err := runObsBench(obsOptions{
-			components: *obsComps,
-			jobs:       *obsJobs,
-			sites:      *obsSites,
-			mutations:  *obsMutations,
-			reps:       *obsReps,
-			seed:       *seed,
-			out:        *obsOut,
-			cpuprofile: *obsProfile,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "amf-bench:", err)
-			os.Exit(1)
-		}
-		return
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "amf-bench:", err)
+		os.Exit(1)
 	}
+}
 
-	if *walMode {
-		if err := runWALBench(walbenchOptions{
-			mutators: *walMutators,
-			jobs:     *walJobs,
-			sites:    *walSites,
-			ops:      *walOps,
-			batchMax: *walBatch,
-			window:   *walWindow,
-			dir:      *walDir,
-			out:      *walOut,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "amf-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *polMode {
-		if err := runPolicyBench(policyBenchOptions{
-			components: *polComps,
-			jobs:       *polJobs,
-			sites:      *polSites,
-			mutations:  *polMutations,
-			zipf:       *zipf,
-			seed:       *seed,
-			policies:   *polNames,
-			out:        *polOut,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "amf-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *contMode {
-		if err := runContention(contentionOptions{
-			components:   *contComps,
-			jobs:         *contJobs,
-			sites:        *contSites,
-			mutations:    *contMutations,
-			skew:         *contSkew,
-			hotThreshold: *contHot,
-			seed:         *seed,
-			out:          *contOut,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "amf-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *churnMode {
-		if err := runChurn(churnOptions{
-			components: *churnComps,
-			jobs:       *churnJobs,
-			sites:      *churnSites,
-			mutations:  *churnMutations,
-			zipf:       *zipf,
-			seed:       *seed,
-			out:        *churnOut,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "amf-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *decompMode {
-		if err := runDecompose(decomposeOptions{
-			components: *decompComps,
-			jobs:       *decompJobs,
-			sites:      *decompSites,
-			trials:     *decompTrials,
-			seed:       *seed,
-			out:        *decompOut,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "amf-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serveMode {
-		if err := runServing(servingOptions{
-			mutators: *serveMut,
-			readers:  *serveReaders,
-			jobs:     *serveJobs,
-			sites:    *serveSites,
-			batchMax: *serveBatch,
-			window:   *serveWindow,
-			dur:      *serveDur,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "amf-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *list {
+// runExperiments runs the paper experiments selected by -run (all by
+// default), printing each report and optionally writing it under -out.
+func runExperiments(o options) error {
+	if o.list {
 		for _, e := range experiments.List() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
 		}
-		return
+		return nil
 	}
-
-	opt := experiments.Options{Quick: *quick, Seed: *seed}
+	opt := experiments.Options{Quick: o.quick, Seed: o.seed}
 	ids := experiments.IDs()
-	if *runIDs != "" {
-		ids = strings.Split(*runIDs, ",")
+	if o.run != "" {
+		ids = strings.Split(o.run, ",")
 	}
 	for _, id := range ids {
 		start := time.Now()
 		r, err := experiments.Run(strings.TrimSpace(id), opt)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "amf-bench:", err)
-			os.Exit(1)
+			return err
 		}
 		var body, ext string
-		switch *format {
+		switch o.format {
 		case "md":
 			body, ext = r.RenderMarkdown(), "md"
 			fmt.Print(body)
@@ -353,16 +226,15 @@ func main() {
 			fmt.Print(body)
 			fmt.Printf("(%s completed in %v)\n\n", r.ID, time.Since(start).Round(time.Millisecond))
 		}
-		if *outDir != "" {
-			if err := os.MkdirAll(*outDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, "amf-bench:", err)
-				os.Exit(1)
+		if o.out != "" {
+			if err := os.MkdirAll(o.out, 0o755); err != nil {
+				return err
 			}
-			path := filepath.Join(*outDir, strings.ToLower(r.ID)+"."+ext)
+			path := filepath.Join(o.out, strings.ToLower(r.ID)+"."+ext)
 			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "amf-bench:", err)
-				os.Exit(1)
+				return err
 			}
 		}
 	}
+	return nil
 }

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -17,24 +14,10 @@ import (
 	"repro/internal/workload"
 )
 
-// obsOptions parameterizes the observability-overhead benchmark (-obs):
-// replay the same mutation stream through the serving engine with
-// observability off (no metrics registry, no tracing) and fully on
-// (shared registry + commit tracing), and report the per-commit latency
-// overhead plus the recorded traces' span coverage.
-type obsOptions struct {
-	components int
-	jobs       int // per component
-	sites      int // per component
-	mutations  int
-	reps       int
-	seed       uint64
-	out        string // JSON results path ("" = skip)
-	cpuprofile string // CPU profile of the instrumented pass ("" = skip)
-}
-
-// obsResult is the machine-readable record written to the -obs-out JSON
-// file (BENCH_obs.json in CI).
+// obsResult is the machine-readable record of -mode obs (BENCH_obs.json
+// in CI): the same mutation stream replayed with observability off (no
+// metrics registry, no tracing) and fully on (shared registry + commit
+// tracing).
 type obsResult struct {
 	Benchmark         string   `json:"benchmark"`
 	Env               benchEnv `json:"env"`
@@ -59,22 +42,12 @@ type obsResult struct {
 	TracesRecorded   int     `json:"traces_recorded"`
 }
 
-// runObsBench measures the observability overhead and optionally writes
-// the JSON record and a CPU profile of the instrumented pass.
-func runObsBench(o obsOptions) error {
-	if o.reps <= 0 {
-		o.reps = 3
-	}
-	ch := workload.GenerateChurn(workload.ChurnConfig{
-		Sparse: workload.SparseConfig{
-			Components:        o.components,
-			JobsPerComponent:  o.jobs,
-			SitesPerComponent: o.sites,
-			Seed:              o.seed,
-		},
-		Mutations: o.mutations,
-		Seed:      o.seed + 1,
-	})
+// runObsBench measures the observability overhead over o.trials
+// alternating repetitions and optionally writes the JSON record and a
+// CPU profile of the last instrumented pass.
+func runObsBench(o options) error {
+	o.zipf = 0 // the overhead is measured on a uniform stream
+	ch := churnStream(o)
 
 	var plainBest, obsBest int64
 	var lastTraces []*span.Trace
@@ -82,17 +55,13 @@ func runObsBench(o obsOptions) error {
 	// and GC state drift over a process's life, so a fixed order would
 	// systematically bias whichever pass runs later) and keep each
 	// configuration's best median.
-	for rep := 0; rep < o.reps; rep++ {
-		profile := ""
-		if rep == o.reps-1 {
-			profile = o.cpuprofile
-		}
-		runOne := func(instrumented bool) error {
-			prof := ""
-			if instrumented {
-				prof = profile
+	for rep := 0; rep < o.trials; rep++ {
+		for _, instrumented := range []bool{rep%2 == 1, rep%2 == 0} {
+			profile := ""
+			if instrumented && rep == o.trials-1 {
+				profile = o.cpuprofile
 			}
-			ns, traces, err := obsPass(ch, instrumented, prof)
+			ns, traces, err := obsPass(ch, instrumented, profile)
 			if err != nil {
 				return err
 			}
@@ -104,17 +73,6 @@ func runObsBench(o obsOptions) error {
 			} else if plainBest == 0 || ns < plainBest {
 				plainBest = ns
 			}
-			return nil
-		}
-		first, second := false, true
-		if rep%2 == 1 {
-			first, second = true, false
-		}
-		if err := runOne(first); err != nil {
-			return err
-		}
-		if err := runOne(second); err != nil {
-			return err
 		}
 	}
 
@@ -125,7 +83,7 @@ func runObsBench(o obsOptions) error {
 		JobsPerComponent:  o.jobs,
 		SitesPerComponent: o.sites,
 		Mutations:         o.mutations,
-		Reps:              o.reps,
+		Reps:              o.trials,
 		GOMAXPROCS:        runtime.GOMAXPROCS(0),
 		PlainMedianNS:     plainBest,
 		ObsMedianNS:       obsBest,
@@ -135,40 +93,22 @@ func runObsBench(o obsOptions) error {
 	res.SpanSumRatioMean, res.SpanSumRatioMin = spanCoverage(lastTraces)
 
 	fmt.Printf("Observability benchmark: %d components x %d jobs x %d sites, %d mutations, %d reps, GOMAXPROCS=%d\n\n",
-		o.components, o.jobs, o.sites, o.mutations, o.reps, res.GOMAXPROCS)
+		o.components, o.jobs, o.sites, o.mutations, o.trials, res.GOMAXPROCS)
 	fmt.Printf("%-24s %20s\n", "configuration", "median commit")
 	fmt.Printf("%-24s %20v\n", "plain", time.Duration(plainBest).Round(time.Microsecond))
 	fmt.Printf("%-24s %20v\n", "metrics+tracing", time.Duration(obsBest).Round(time.Microsecond))
 	fmt.Printf("\noverhead: %+.2f%%  (bound < 3%%)\n", res.OverheadPct)
 	fmt.Printf("span coverage: mean %.3f, min %.3f over %d traces  (bound: within 10%% of 1)\n",
 		res.SpanSumRatioMean, res.SpanSumRatioMin, res.TracesRecorded)
-
-	if o.out != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.out, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", o.out)
-	}
-	return nil
+	return writeResult(o.out, res)
 }
 
-// obsPass replays the stream through an unbatched engine (one commit per
-// mutation) with observability off or fully on, returning the median
-// acknowledged mutation latency and (when instrumented) the recorded
-// traces. A non-empty cpuprofile captures the instrumented replay.
+// obsPass replays the stream with observability off or fully on,
+// returning the median acknowledged mutation latency and (when
+// instrumented) the recorded traces. A non-empty cpuprofile captures the
+// timed replay.
 func obsPass(ch *workload.Churn, instrumented bool, cpuprofile string) (int64, []*span.Trace, error) {
-	sc, err := scheduler.New(scheduler.Config{SiteCapacity: ch.Inst.SiteCapacity})
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := ch.Populate(sc); err != nil {
-		return 0, nil, err
-	}
-	cfg := serve.Config{MaxBatch: 1}
+	var cfg serve.Config
 	var rec *span.Recorder
 	if instrumented {
 		rec = span.NewRecorder(4096)
@@ -178,40 +118,24 @@ func obsPass(ch *workload.Churn, instrumented bool, cpuprofile string) (int64, [
 		// its insert cost belongs in the measured overhead.
 		cfg.SlowTraces = span.NewSlowRecorder(32, time.Hour)
 	}
-	eng, err := serve.New(sc, cfg)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer eng.Close()
-
+	var profile io.Writer
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
 			return 0, nil, err
 		}
 		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return 0, nil, err
-		}
-		defer pprof.StopCPUProfile()
+		profile = f
 	}
-
-	target := engineTarget{eng: eng}
-	times := make([]int64, 0, len(ch.Ops))
-	for _, op := range ch.Ops {
-		start := time.Now()
-		err := op.Apply(target)
-		if err != nil && !errors.Is(err, scheduler.ErrUnknownJob) && !errors.Is(err, scheduler.ErrDuplicateJob) {
-			return 0, nil, err
-		}
-		times = append(times, time.Since(start).Nanoseconds())
+	times, _, err := replay(ch, scheduler.Config{}, cfg, profile)
+	if err != nil {
+		return 0, nil, err
 	}
-	sort.Slice(times, func(a, b int) bool { return times[a] < times[b] })
 	var traces []*span.Trace
 	if rec != nil {
 		traces = rec.Recent(0)
 	}
-	return times[len(times)/2], traces, nil
+	return percentile(times, 50), traces, nil
 }
 
 // spanCoverage reports the mean and minimum SpanSum/Total ratio across

@@ -1,37 +1,17 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/workload"
 )
 
-// policyBenchOptions parameterizes the policy comparison benchmark
-// (-policybench): replay the SAME zipf-skewed churn stream through one
-// serving engine per fairness policy and compare per-commit latency and
-// cache behaviour across disciplines.
-type policyBenchOptions struct {
-	components int
-	jobs       int // per component
-	sites      int // per component
-	mutations  int
-	zipf       float64
-	seed       uint64
-	policies   string // comma-separated subset ("" = all registered)
-	out        string // JSON results path ("" = skip)
-}
-
-// policyBenchRow is one policy's measurement in the -policybench-out
+// policyBenchRow is one policy's measurement in the -mode policybench
 // JSON file (BENCH_policy.json in CI).
 type policyBenchRow struct {
 	Policy         string  `json:"policy"`
@@ -45,7 +25,9 @@ type policyBenchRow struct {
 	CacheHitRatio  float64 `json:"cache_hit_ratio"`
 }
 
-// policyBenchResult is the machine-readable record for the whole sweep.
+// policyBenchResult is the machine-readable record for the whole sweep:
+// the SAME churn stream replayed through one serving engine per fairness
+// policy.
 type policyBenchResult struct {
 	Benchmark         string           `json:"benchmark"`
 	Env               benchEnv         `json:"env"`
@@ -61,7 +43,7 @@ type policyBenchResult struct {
 // runPolicyBench replays one generated churn stream through each
 // requested policy, prints a comparison table, and optionally writes the
 // JSON record.
-func runPolicyBench(o policyBenchOptions) error {
+func runPolicyBench(o options) error {
 	names := policy.Names()
 	if o.policies != "" {
 		names = nil
@@ -69,18 +51,7 @@ func runPolicyBench(o policyBenchOptions) error {
 			names = append(names, strings.TrimSpace(n))
 		}
 	}
-
-	ch := workload.GenerateChurn(workload.ChurnConfig{
-		Sparse: workload.SparseConfig{
-			Components:        o.components,
-			JobsPerComponent:  o.jobs,
-			SitesPerComponent: o.sites,
-			Seed:              o.seed,
-		},
-		Mutations: o.mutations,
-		Seed:      o.seed + 1,
-		ZipfSkew:  o.zipf,
-	})
+	ch := churnStream(o)
 
 	res := policyBenchResult{
 		Benchmark:         "policy_churn",
@@ -102,9 +73,21 @@ func runPolicyBench(o policyBenchOptions) error {
 		if err != nil {
 			return err
 		}
-		row, err := policyBenchPass(ch, pol)
+		times, sc, err := replay(ch, scheduler.Config{Policy: pol}, serve.Config{}, nil)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
+		}
+		st := sc.Stats()
+		row := policyBenchRow{
+			Policy:         pol.Name(),
+			Incremental:    pol.Capabilities().Incremental,
+			MedianCommitNS: percentile(times, 50),
+			P99CommitNS:    percentile(times, 99),
+			LastReused:     st.LastReused,
+			LastResolved:   st.LastResolved,
+			CacheHits:      st.CacheHits,
+			CacheMisses:    st.CacheMisses,
+			CacheHitRatio:  cacheHitRatio(st),
 		}
 		res.Policies = append(res.Policies, row)
 		hit := "-"
@@ -115,64 +98,5 @@ func runPolicyBench(o policyBenchOptions) error {
 			time.Duration(row.MedianCommitNS).Round(time.Microsecond),
 			time.Duration(row.P99CommitNS).Round(time.Microsecond), hit)
 	}
-
-	if o.out != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.out, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", o.out)
-	}
-	return nil
-}
-
-// policyBenchPass replays the stream through an unbatched engine running
-// the given policy (one commit per mutation) and collects the latency
-// distribution plus the controller's final cache stats.
-func policyBenchPass(ch *workload.Churn, pol policy.Policy) (policyBenchRow, error) {
-	sc, err := scheduler.New(scheduler.Config{
-		SiteCapacity: ch.Inst.SiteCapacity,
-		Policy:       pol,
-	})
-	if err != nil {
-		return policyBenchRow{}, err
-	}
-	if err := ch.Populate(sc); err != nil {
-		return policyBenchRow{}, err
-	}
-	eng, err := serve.New(sc, serve.Config{MaxBatch: 1})
-	if err != nil {
-		return policyBenchRow{}, err
-	}
-	defer eng.Close()
-
-	target := engineTarget{eng: eng}
-	times := make([]int64, 0, len(ch.Ops))
-	for _, op := range ch.Ops {
-		start := time.Now()
-		err := op.Apply(target)
-		if err != nil && !errors.Is(err, scheduler.ErrUnknownJob) && !errors.Is(err, scheduler.ErrDuplicateJob) {
-			return policyBenchRow{}, err
-		}
-		times = append(times, time.Since(start).Nanoseconds())
-	}
-	sort.Slice(times, func(a, b int) bool { return times[a] < times[b] })
-	st := sc.Stats()
-	row := policyBenchRow{
-		Policy:         pol.Name(),
-		Incremental:    pol.Capabilities().Incremental,
-		MedianCommitNS: times[len(times)/2],
-		P99CommitNS:    times[len(times)*99/100],
-		LastReused:     st.LastReused,
-		LastResolved:   st.LastResolved,
-		CacheHits:      st.CacheHits,
-		CacheMisses:    st.CacheMisses,
-	}
-	if total := st.CacheHits + st.CacheMisses; total > 0 {
-		row.CacheHitRatio = float64(st.CacheHits) / float64(total)
-	}
-	return row, nil
+	return writeResult(o.out, res)
 }

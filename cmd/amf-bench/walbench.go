@@ -2,11 +2,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -16,25 +14,13 @@ import (
 	"repro/internal/wal"
 )
 
-// walbenchOptions parameterizes the durability-overhead benchmark (-wal):
-// the same concurrent mutation workload runs through a batched engine
-// once in-memory and once with a write-ahead log, and the acknowledged
-// per-mutation latency is compared. Group commit is the whole point —
-// every mutation in a batch shares one fsync, so the durable path should
-// stay within a small constant factor of the in-memory one.
-type walbenchOptions struct {
-	mutators int
-	jobs     int
-	sites    int
-	ops      int // mutations per mutator
-	batchMax int
-	window   time.Duration
-	dir      string // WAL directory ("" = fresh temp dir)
-	out      string // JSON results path ("" = skip)
-}
-
-// walbenchResult is the machine-readable record written to the -wal-out
-// JSON file (BENCH_wal.json in CI).
+// walbenchResult is the machine-readable record of -mode wal
+// (BENCH_wal.json in CI): the same concurrent mutation workload runs
+// through a batched engine once in-memory and once with a write-ahead
+// log, and the acknowledged per-mutation latency is compared. Group
+// commit is the whole point — every mutation in a batch shares one
+// fsync, so the durable path should stay within a small constant factor
+// of the in-memory one.
 type walbenchResult struct {
 	Benchmark      string   `json:"benchmark"`
 	Env            benchEnv `json:"env"`
@@ -56,9 +42,9 @@ type walbenchResult struct {
 }
 
 // runWALBench runs both configurations and prints the comparison.
-func runWALBench(o walbenchOptions) error {
-	if o.batchMax <= 0 {
-		o.batchMax = o.mutators
+func runWALBench(o options) error {
+	if o.batch <= 0 {
+		o.batch = o.mutators
 	}
 	memMed, memP95, _, err := walbenchPass(o, "")
 	if err != nil {
@@ -84,8 +70,8 @@ func runWALBench(o walbenchOptions) error {
 		Mutators:       o.mutators,
 		Jobs:           o.jobs,
 		Sites:          o.sites,
-		OpsPerMutator:  o.ops,
-		BatchMax:       o.batchMax,
+		OpsPerMutator:  o.mutations,
+		BatchMax:       o.batch,
 		GOMAXPROCS:     runtime.GOMAXPROCS(0),
 		MemoryMedianNS: memMed,
 		MemoryP95NS:    memP95,
@@ -99,7 +85,7 @@ func runWALBench(o walbenchOptions) error {
 	}
 
 	fmt.Printf("WAL overhead: %d mutators x %d ops, %d jobs x %d sites, batch-max %d, GOMAXPROCS=%d\n\n",
-		o.mutators, o.ops, o.jobs, o.sites, o.batchMax, res.GOMAXPROCS)
+		o.mutators, o.mutations, o.jobs, o.sites, o.batch, res.GOMAXPROCS)
 	fmt.Printf("%-10s %18s %18s\n", "mode", "ack median", "ack p95")
 	fmt.Printf("%-10s %18v %18v\n", "in-memory",
 		time.Duration(memMed).Round(time.Microsecond), time.Duration(memP95).Round(time.Microsecond))
@@ -107,24 +93,13 @@ func runWALBench(o walbenchOptions) error {
 		time.Duration(walMed).Round(time.Microsecond), time.Duration(walP95).Round(time.Microsecond))
 	fmt.Printf("\nwal/in-memory acknowledged latency: %.2fx  (fsync p95 %v, %d commits, %d compactions)\n",
 		res.Ratio, time.Duration(res.FsyncP95NS).Round(time.Microsecond), res.Commits, res.Compactions)
-
-	if o.out != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.out, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", o.out)
-	}
-	return nil
+	return writeResult(o.out, res)
 }
 
 // walbenchPass runs the workload through one engine configuration
 // (durable iff dir != "") and returns the median and p95 acknowledged
 // mutation latency plus the metrics registry for WAL telemetry.
-func walbenchPass(o walbenchOptions, dir string) (int64, int64, *obs.Registry, error) {
+func walbenchPass(o options, dir string) (int64, int64, *obs.Registry, error) {
 	caps := make([]float64, o.sites)
 	for s := range caps {
 		caps[s] = float64(o.jobs) / float64(o.sites)
@@ -134,7 +109,7 @@ func walbenchPass(o walbenchOptions, dir string) (int64, int64, *obs.Registry, e
 		return 0, 0, nil, err
 	}
 	reg := obs.NewRegistry()
-	cfg := serve.Config{MaxBatch: o.batchMax, BatchWindow: o.window, Metrics: reg}
+	cfg := serve.Config{MaxBatch: o.batch, BatchWindow: o.window, Metrics: reg}
 	if dir != "" {
 		l, _, err := wal.Open(dir, wal.Options{})
 		if err != nil {
@@ -164,8 +139,8 @@ func walbenchPass(o walbenchOptions, dir string) (int64, int64, *obs.Registry, e
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			times := make([]int64, 0, o.ops)
-			for i := 0; i < o.ops; i++ {
+			times := make([]int64, 0, o.mutations)
+			for i := 0; i < o.mutations; i++ {
 				id := fmt.Sprintf("job-%d", (w+i*o.mutators)%o.jobs)
 				weight := 1 + float64((i*7+w*3)%13)/13
 				start := time.Now()
@@ -189,6 +164,6 @@ func walbenchPass(o walbenchOptions, dir string) (int64, int64, *obs.Registry, e
 	for _, times := range lat {
 		all = append(all, times...)
 	}
-	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
-	return all[len(all)/2], all[len(all)*95/100], reg, nil
+	sortNS(all)
+	return percentile(all, 50), percentile(all, 95), reg, nil
 }

@@ -76,10 +76,12 @@ type serverConfig struct {
 	phase scheduler.PhaseConfig
 }
 
-// shardParts bundles one assembled shard engine with the observability
-// hooks the cluster router needs: its trace rings and the registry it
-// instruments (scraped by the router's metrics federation).
+// shardParts bundles one assembled engine with the hooks its callers
+// need: the scheduler (for -state snapshots), its WAL (for shipping),
+// its trace rings and the registry it instruments (served on /metrics,
+// and scraped by the cluster router's metrics federation).
 type shardParts struct {
+	sc     *scheduler.Scheduler
 	eng    *serve.Engine
 	log    *wal.Log
 	traces *span.Recorder
@@ -87,9 +89,11 @@ type shardParts struct {
 	reg    *obs.Registry
 }
 
-// buildShardEngine assembles one durable engine: scheduler, WAL replay,
-// tracing — the same stack the single-engine path runs, minus the flags.
-func buildShardEngine(logger *slog.Logger, caps []float64, p policy.Policy, dir string, cfg serverConfig) (shardParts, error) {
+// buildShardEngine assembles one engine: scheduler, optional -state
+// snapshot load, optional WAL replay from dir (recording the wal.*
+// recovery gauges), tracing. Single mode and every cluster shard run
+// this same stack; cluster mode passes state "".
+func buildShardEngine(logger *slog.Logger, caps []float64, p policy.Policy, dir, state string, cfg serverConfig) (shardParts, error) {
 	sc, err := scheduler.New(scheduler.Config{
 		SiteCapacity:    caps,
 		Policy:          p,
@@ -100,6 +104,12 @@ func buildShardEngine(logger *slog.Logger, caps []float64, p policy.Policy, dir 
 	if err != nil {
 		return shardParts{}, err
 	}
+	if state != "" {
+		if err := loadState(logger, sc, state); err != nil {
+			return shardParts{}, fmt.Errorf("loading state: %w", err)
+		}
+	}
+	reg := obs.NewRegistry()
 	var logHandle *wal.Log
 	if dir != "" {
 		l, recovery, err := wal.Open(dir, wal.Options{})
@@ -110,8 +120,18 @@ func buildShardEngine(logger *slog.Logger, caps []float64, p policy.Policy, dir 
 		if err != nil {
 			return shardParts{}, fmt.Errorf("recovering %s: %w", dir, err)
 		}
-		logger.Info("shard recovered", "dir", dir, "jobs", sc.Stats().Jobs,
-			"snapshot", st.Restored, "batches", st.Batches)
+		reg.Gauge("wal.replayed_batches").Set(float64(st.Batches))
+		reg.Gauge("wal.replayed_mutations").Set(float64(st.Mutations))
+		reg.Gauge("wal.replay_failures").Set(float64(st.Failed))
+		reg.Gauge("wal.skipped_records").Set(float64(recovery.SkippedRecords))
+		reg.Gauge("wal.skipped_states").Set(float64(recovery.SkippedStates))
+		logger.Info("recovered from write-ahead log",
+			"dir", dir,
+			"jobs", sc.Stats().Jobs,
+			"snapshot", st.Restored,
+			"batches", st.Batches,
+			"mutations", st.Mutations,
+			"torn_records_skipped", recovery.SkippedRecords)
 		logHandle = l
 	}
 	var traces *span.Recorder
@@ -122,7 +142,6 @@ func buildShardEngine(logger *slog.Logger, caps []float64, p policy.Policy, dir 
 	if cfg.slowTraceBuf > 0 {
 		slow = span.NewSlowRecorder(cfg.slowTraceBuf, cfg.slowTraceWin)
 	}
-	reg := obs.NewRegistry()
 	eng, err := serve.New(sc, serve.Config{
 		MaxBatch:        cfg.batchMax,
 		BatchWindow:     cfg.batchWindow,
@@ -138,7 +157,7 @@ func buildShardEngine(logger *slog.Logger, caps []float64, p policy.Policy, dir 
 	if err != nil {
 		return shardParts{}, err
 	}
-	return shardParts{eng: eng, log: logHandle, traces: traces, slow: slow, reg: reg}, nil
+	return shardParts{sc: sc, eng: eng, log: logHandle, traces: traces, slow: slow, reg: reg}, nil
 }
 
 // runCluster hosts n engine shards in one process behind an in-process
@@ -154,7 +173,7 @@ func runCluster(logger *slog.Logger, caps []float64, p policy.Policy, n int, cfg
 		if cfg.dataDir != "" {
 			dir = filepath.Join(cfg.dataDir, fmt.Sprintf("shard-%d", i))
 		}
-		parts, err := buildShardEngine(logger, caps, p, dir, cfg)
+		parts, err := buildShardEngine(logger, caps, p, dir, "", cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("shard %d: %w", i, err)
 		}

@@ -79,11 +79,8 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/obs"
-	"repro/internal/obs/span"
 	"repro/internal/policy"
 	"repro/internal/scheduler"
-	"repro/internal/serve"
 	"repro/internal/wal"
 )
 
@@ -233,82 +230,22 @@ func main() {
 	}
 }
 
-// runSingle assembles the classic one-engine server: scheduler, optional
-// WAL replay, serve.Engine, API handler. The returned stop func drains
-// the engine and performs the -state / -metrics-on-exit shutdown work.
+// runSingle serves one engine (buildShardEngine over -data-dir and
+// -state) through the API handler. The returned stop func drains the
+// engine and performs the -state / -metrics-on-exit shutdown work.
 func runSingle(logger *slog.Logger, caps []float64, p policy.Policy, state string, dumpMetrics bool, cfg serverConfig) (http.Handler, func(), error) {
-	sc, err := scheduler.New(scheduler.Config{
-		SiteCapacity:    caps,
-		Policy:          p,
-		ApproxEpsilon:   cfg.approxEps,
-		ApproxThreshold: cfg.approxThresh,
-		Phase:           cfg.phase,
-	})
+	if cfg.shipAddr != "" && cfg.dataDir == "" {
+		return nil, nil, fmt.Errorf("-ship-addr requires -data-dir (there is no log to ship)")
+	}
+	parts, err := buildShardEngine(logger, caps, p, cfg.dataDir, state, cfg)
 	if err != nil {
 		return nil, nil, err
-	}
-	if state != "" {
-		if err := loadState(logger, sc, state); err != nil {
-			return nil, nil, fmt.Errorf("loading state: %w", err)
-		}
-	}
-	reg := obs.NewRegistry()
-
-	var logHandle *wal.Log
-	if cfg.dataDir != "" {
-		l, recovery, err := wal.Open(cfg.dataDir, wal.Options{})
-		if err != nil {
-			return nil, nil, fmt.Errorf("opening data dir %s: %w", cfg.dataDir, err)
-		}
-		st, err := recovery.Replay(sc)
-		if err != nil {
-			return nil, nil, fmt.Errorf("recovering %s: %w", cfg.dataDir, err)
-		}
-		reg.Gauge("wal.replayed_batches").Set(float64(st.Batches))
-		reg.Gauge("wal.replayed_mutations").Set(float64(st.Mutations))
-		reg.Gauge("wal.replay_failures").Set(float64(st.Failed))
-		reg.Gauge("wal.skipped_records").Set(float64(recovery.SkippedRecords))
-		reg.Gauge("wal.skipped_states").Set(float64(recovery.SkippedStates))
-		logger.Info("recovered from write-ahead log",
-			"dir", cfg.dataDir,
-			"jobs", sc.Stats().Jobs,
-			"snapshot", st.Restored,
-			"batches", st.Batches,
-			"mutations", st.Mutations,
-			"torn_records_skipped", recovery.SkippedRecords)
-		logHandle = l
 	}
 	if cfg.shipAddr != "" {
-		if logHandle == nil {
-			return nil, nil, fmt.Errorf("-ship-addr requires -data-dir (there is no log to ship)")
-		}
-		go serveShip(logger, cfg.shipAddr, map[string]*wal.Log{"/wal": logHandle})
+		go serveShip(logger, cfg.shipAddr, map[string]*wal.Log{"/wal": parts.log})
 	}
-
-	var traces *span.Recorder
-	if cfg.traceBuf > 0 {
-		traces = span.NewRecorder(cfg.traceBuf)
-	}
-	var slowTraces *span.SlowRecorder
-	if cfg.slowTraceBuf > 0 {
-		slowTraces = span.NewSlowRecorder(cfg.slowTraceBuf, cfg.slowTraceWin)
-	}
-	eng, err := serve.New(sc, serve.Config{
-		MaxBatch:        cfg.batchMax,
-		BatchWindow:     cfg.batchWindow,
-		Metrics:         reg,
-		Log:             logHandle,
-		CompactBytes:    cfg.compactMB << 20,
-		CompactInterval: cfg.compactIval,
-		Traces:          traces,
-		SlowTraces:      slowTraces,
-		Logger:          logger,
-		SlowCommit:      cfg.slowCommit,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	srv := api.NewEngineServer(eng, reg, caps, p).SetTraces(traces).SetSlowTraces(slowTraces)
+	eng, sc, reg := parts.eng, parts.sc, parts.reg
+	srv := api.NewEngineServer(eng, reg, caps, p).SetTraces(parts.traces).SetSlowTraces(parts.slow)
 
 	durability := "none (in-memory)"
 	if cfg.dataDir != "" {

@@ -9,8 +9,8 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/scheduler"
 	"repro/internal/policy"
+	"repro/internal/scheduler"
 )
 
 func main() {

@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/scheduler"
 	"repro/internal/policy"
+	"repro/internal/scheduler"
 )
 
 func newTestServer(t *testing.T) (*Client, *scheduler.Scheduler) {

@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/scheduler"
 	"repro/internal/policy"
+	"repro/internal/scheduler"
 )
 
 func TestApproxConfigRoundTrip(t *testing.T) {

@@ -7,9 +7,9 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/policy"
 	"repro/internal/wal"
 )
 

@@ -10,9 +10,9 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/policy"
 	"repro/internal/wal"
 )
 

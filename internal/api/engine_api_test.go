@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/policy"
 )
 
 func newEngineTestServer(t *testing.T) (*Client, *serve.Engine) {

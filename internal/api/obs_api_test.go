@@ -10,9 +10,9 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/span"
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/policy"
 )
 
 // newTracedServer builds the full observability stack: scheduler + traced

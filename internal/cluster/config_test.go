@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"sync"
@@ -354,5 +355,79 @@ func TestRouterConfigPolicyReadsDuringSwitch(t *testing.T) {
 	wg.Wait()
 	if got := r.PolicyName(); got != "amf" {
 		t.Fatalf("policy after the last switch %q, want amf", got)
+	}
+}
+
+// TestRouterStatsApproxTelemetry checks the merged /v1/stats keeps the
+// approximate-solver telemetry: components routed through the
+// approximate path sum across shards, and the certified error bound is
+// the largest any shard reports — over in-process and HTTP shards alike.
+func TestRouterStatsApproxTelemetry(t *testing.T) {
+	caps := []float64{1, 1, 1, 1}
+	s0, s1 := splitSites(t, len(caps))
+	httpShards := func() ([]cluster.Shard, []*scheduler.Scheduler) {
+		shards := make([]cluster.Shard, 2)
+		scs := make([]*scheduler.Scheduler, 2)
+		for i := range shards {
+			sc, err := scheduler.New(scheduler.Config{SiteCapacity: caps, Policy: policy.AMF})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(api.NewServer(sc, caps, policy.AMF).Handler())
+			t.Cleanup(ts.Close)
+			shards[i] = cluster.HTTPShard{Client: api.NewClient(ts.URL, ts.Client())}
+			scs[i] = sc
+		}
+		return shards, scs
+	}
+	for name, build := range map[string]func() ([]cluster.Shard, []*scheduler.Scheduler){
+		"engine": func() ([]cluster.Shard, []*scheduler.Scheduler) {
+			return newEngineShards(t, 2, caps, policy.AMF)
+		},
+		"http": httpShards,
+	} {
+		t.Run(name, func(t *testing.T) {
+			shards, scs := build()
+			r, err := cluster.NewRouter(shards, policy.AMF)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			if err := r.ApplyConfig(ctx, scheduler.ConfigPatch{
+				ApproxEpsilon: fptr(0.05), ApproxThreshold: iptr(1),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			// Three jobs on shard 0's site and five on shard 1's, with
+			// unequal demands and weights, so each shard's approximate
+			// solve certifies a different nonzero bound.
+			for n, site := range map[int]int{3: s0, 5: s1} {
+				for j := 0; j < n; j++ {
+					d := make([]float64, len(caps))
+					d[site] = 0.3 * float64(j+1)
+					if err := r.AddJob(ctx, fmt.Sprintf("s%d-%d", site, j), float64(j+1), d, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if _, err := r.Allocation(ctx); err != nil {
+				t.Fatal(err)
+			}
+			var wantComps int
+			var wantBound float64
+			for _, sc := range scs {
+				st := sc.Stats()
+				wantComps += st.LastApproxComponents
+				wantBound = math.Max(wantBound, st.LastApproxErrorBound)
+			}
+			if wantComps != 2 || wantBound == 0 {
+				t.Fatalf("shards report %d approximate components with bound %g, want 2 and nonzero", wantComps, wantBound)
+			}
+			st := r.Stats()
+			if st.LastApproxComponents != wantComps || st.LastApproxErrorBound != wantBound {
+				t.Fatalf("router stats approx = (%d, %g), shards (%d, %g)",
+					st.LastApproxComponents, st.LastApproxErrorBound, wantComps, wantBound)
+			}
+		})
 	}
 }

@@ -21,15 +21,24 @@ type VersionsResponse struct {
 	Sum      uint64   `json:"sum"`
 }
 
-// RouterStatsResponse is the wire form of RouterStats.
+// RouterStatsResponse counts the router's cluster-coordination activity:
+// Router.RouterStats and GET /v1/cluster/stats.
 type RouterStatsResponse struct {
-	Jobs              int     `json:"jobs"`
-	OwnedSites        int     `json:"owned_sites"`
-	WeightSum         float64 `json:"weight_sum"`
-	BroadcastVersion  uint64  `json:"broadcast_version"`
-	Broadcasts        int64   `json:"broadcasts"`
-	FastPathSkips     int64   `json:"fast_path_skips"`
-	CrossShardRejects int64   `json:"cross_shard_rejects"`
+	// Jobs is the number of jobs currently routed.
+	Jobs int `json:"jobs"`
+	// OwnedSites is the number of sites currently pinned to a shard.
+	OwnedSites int `json:"owned_sites"`
+	// WeightSum is the router's global share-weight sum W.
+	WeightSum float64 `json:"weight_sum"`
+	// BroadcastVersion increments once per weight-sum change that needed
+	// reconciling; Broadcasts counts the per-shard SetExternalWeight calls
+	// it fanned out, and FastPathSkips the mutations that needed none
+	// (single shard, AMF policy, or ΔW = 0).
+	BroadcastVersion uint64 `json:"broadcast_version"`
+	Broadcasts       int64  `json:"broadcasts"`
+	FastPathSkips    int64  `json:"fast_path_skips"`
+	// CrossShardRejects counts jobs refused under ErrCrossShard.
+	CrossShardRejects int64 `json:"cross_shard_rejects"`
 }
 
 // NewHandler mounts the full cluster control plane for a router: the
@@ -108,16 +117,7 @@ func NewHandler(r *Router, reg *obs.Registry, capacity []float64, pol policy.Pol
 		writeJSON(w, http.StatusOK, VersionsResponse{Shards: r.NumShards(), Versions: vec, Sum: sum})
 	})
 	mux.HandleFunc("GET /v1/cluster/stats", func(w http.ResponseWriter, req *http.Request) {
-		st := r.RouterStats()
-		writeJSON(w, http.StatusOK, RouterStatsResponse{
-			Jobs:              st.Jobs,
-			OwnedSites:        st.OwnedSites,
-			WeightSum:         st.WeightSum,
-			BroadcastVersion:  st.BroadcastVersion,
-			Broadcasts:        st.Broadcasts,
-			FastPathSkips:     st.FastPathSkips,
-			CrossShardRejects: st.CrossShardRejects,
-		})
+		writeJSON(w, http.StatusOK, r.RouterStats())
 	})
 	return mux
 }

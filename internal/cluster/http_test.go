@@ -10,9 +10,9 @@ import (
 	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/obs/span"
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
-	"repro/internal/policy"
 	"repro/internal/workload"
 )
 

@@ -65,25 +65,6 @@ var ErrExplainNeedsJob error = &codedError{
 // Snapshot, ReadyErr) when fanning out to remote shards.
 const readTimeout = 5 * time.Second
 
-// RouterStats counts the router's cluster-coordination activity.
-type RouterStats struct {
-	// Jobs is the number of jobs currently routed.
-	Jobs int
-	// OwnedSites is the number of sites currently pinned to a shard.
-	OwnedSites int
-	// WeightSum is the router's global share-weight sum W.
-	WeightSum float64
-	// BroadcastVersion increments once per weight-sum change that needed
-	// reconciling; Broadcasts counts the per-shard SetExternalWeight calls
-	// it fanned out, and FastPathSkips the mutations that needed none
-	// (single shard, AMF policy, or ΔW = 0).
-	BroadcastVersion uint64
-	Broadcasts       int64
-	FastPathSkips    int64
-	// CrossShardRejects counts jobs refused under ErrCrossShard.
-	CrossShardRejects int64
-}
-
 // Router fans a cluster of shards into one api.Backend: it places each
 // job on a shard by hashing its demand component (core.ShardKey), pins
 // the job's sites to that shard so later overlapping jobs follow, merges
@@ -709,8 +690,9 @@ func (r *Router) SnapshotVersion() uint64 {
 	return sum
 }
 
-// Stats merges controller counters across shards: totals are summed,
-// last-solve telemetry takes the slowest/largest shard.
+// Stats merges controller counters across shards: totals and component
+// counts are summed, last-solve telemetry (including the approximate
+// solver's error bound) takes the slowest/largest shard.
 func (r *Router) Stats() scheduler.Stats {
 	ctx, cancel := context.WithTimeout(context.Background(), readTimeout)
 	defer cancel()
@@ -740,6 +722,10 @@ func (r *Router) Stats() scheduler.Stats {
 		out.CacheHits += st.CacheHits
 		out.CacheMisses += st.CacheMisses
 		out.GlobalInvalidations += st.GlobalInvalidations
+		out.LastApproxComponents += st.LastApproxComponents
+		if st.LastApproxErrorBound > out.LastApproxErrorBound {
+			out.LastApproxErrorBound = st.LastApproxErrorBound
+		}
 	}
 	return out
 }
@@ -948,10 +934,10 @@ func (r *Router) ReadyErr() error {
 }
 
 // RouterStats reports the router's coordination counters.
-func (r *Router) RouterStats() RouterStats {
+func (r *Router) RouterStats() RouterStatsResponse {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return RouterStats{
+	return RouterStatsResponse{
 		Jobs:              len(r.jobShard),
 		OwnedSites:        len(r.siteOwner),
 		WeightSum:         r.weightSum,

@@ -243,6 +243,8 @@ func (s HTTPShard) Stats(ctx context.Context) (scheduler.Stats, error) {
 		CacheHits:            resp.CacheHits,
 		CacheMisses:          resp.CacheMisses,
 		GlobalInvalidations:  resp.GlobalInvalidations,
+		LastApproxComponents: resp.ApproxComponents,
+		LastApproxErrorBound: resp.ApproxErrorBound,
 	}, nil
 }
 
