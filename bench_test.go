@@ -14,17 +14,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/maxflow"
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -370,6 +375,81 @@ func BenchmarkServeChurnIncremental(b *testing.B) { benchServeChurn(b, false) }
 // BenchmarkServeChurnFullResolve is the same stream with incremental
 // solving disabled: every commit re-solves the whole instance.
 func BenchmarkServeChurnFullResolve(b *testing.B) { benchServeChurn(b, true) }
+
+// discardResponse is an http.ResponseWriter that counts and drops the
+// body, so handler benchmarks measure the handler and not a buffer.
+type discardResponse struct {
+	h http.Header
+	n int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
+func (d *discardResponse) WriteHeader(int)             {}
+
+// BenchmarkAllocationHandler measures GET /v1/allocation in process over
+// an engine with 16 independent four-site components on 64 sites.
+// same-version re-reads one published snapshot: every row is served from
+// the handler's render memo, so allocs/op stays flat in the job count.
+// one-changed commits a weight update before each read (outside the
+// timer), so each read re-renders one component's rows.
+func BenchmarkAllocationHandler(b *testing.B) {
+	const sites, blocks = 64, 16
+	for _, jobs := range []int{64, 1024} {
+		for _, changed := range []bool{false, true} {
+			name := fmt.Sprintf("jobs=%d/same-version", jobs)
+			if changed {
+				name = fmt.Sprintf("jobs=%d/one-changed", jobs)
+			}
+			b.Run(name, func(b *testing.B) {
+				caps := make([]float64, sites)
+				for s := range caps {
+					caps[s] = float64(jobs / blocks)
+				}
+				sc, err := scheduler.New(scheduler.Config{SiteCapacity: caps, Policy: policy.AMF})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < jobs; j++ {
+					demand := make([]float64, sites)
+					base := 4 * (j % blocks)
+					for k := 0; k < 3; k++ {
+						demand[base+(j/blocks+k)%4] = float64(1 + k)
+					}
+					if err := sc.AddJob(fmt.Sprintf("job-%d", j), 1, demand, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				eng, err := serve.New(sc, serve.Config{MaxBatch: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer eng.Close()
+				h := api.NewEngineServer(eng, nil, caps, policy.AMF).Handler()
+				req := httptest.NewRequest(http.MethodGet, "/v1/allocation", nil)
+				w := &discardResponse{h: http.Header{}}
+				h.ServeHTTP(w, req) // fill the render memo
+				ctx := context.Background()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if changed {
+						b.StopTimer()
+						m := wal.Mutation{Op: wal.OpWeight, ID: fmt.Sprintf("job-%d", i%jobs), Weight: float64(1 + i%2)}
+						if _, err := eng.Apply(ctx, m); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
+					w.n = 0
+					h.ServeHTTP(w, req)
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(w.n), "resp-bytes")
+			})
+		}
+	}
+}
 
 func BenchmarkMaxFlowBipartite(b *testing.B) {
 	in := benchInstance(200, 20, 1.2)

@@ -62,7 +62,10 @@
 // The server fronts either a bare scheduler.Scheduler (NewServer) or a
 // serve.Engine (NewEngineServer) — with the engine, mutations are batched
 // through its group commit and GET /v1/allocation is served lock-free from
-// the engine's published snapshot. Handlers pass the request context to
+// the engine's published snapshot. Both allocation reads render from a
+// per-job memo of JSON fragments keyed on share-row identity (see
+// renderMemo), so a read re-encodes only the rows a commit replaced.
+// Handlers pass the request context to
 // the backend: a client that disconnects or times out while its mutation
 // is still queued abandons the commit instead of blocking on the batch
 // window.
@@ -356,6 +359,9 @@ type Server struct {
 	reg          *obs.Registry
 	traces       *span.Recorder
 	slowTraces   *span.SlowRecorder
+	// memo holds each job's rendered allocation fragment for the read
+	// paths (GET /v1/allocation, GET /v1/jobs/{id}/shares).
+	memo *renderMemo
 }
 
 // NewServer builds the API around a bare controller. capacity is echoed
@@ -396,6 +402,7 @@ func newServer(be Backend, reg *obs.Registry, capacity []float64) *Server {
 		siteCapacity: append([]float64(nil), capacity...),
 		mux:          http.NewServeMux(),
 		reg:          reg,
+		memo:         newRenderMemo(),
 	}
 	s.route("GET /v1/healthz", s.handleHealthz)
 	s.route("GET /v1/readyz", s.handleReadyz)
@@ -782,6 +789,8 @@ func (s *Server) handleWeight(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleShares serves one job's memoized fragment (see renderMemo); the
+// body is what json.Encoder renders for its SharesResponse.
 func (s *Server) handleShares(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	shares, err := s.sc.Shares(r.Context(), id)
@@ -789,7 +798,17 @@ func (s *Server) handleShares(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, sharesResponse(id, shares))
+	f, overgrown, err := s.memo.fragment(id, shares)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if err == nil {
+		_, _ = w.Write(f.buf[f.val:]) // a failed write means the client left
+	}
+	if overgrown {
+		if alloc, err := s.sc.Allocation(r.Context()); err == nil {
+			s.memo.prune(alloc)
+		}
+	}
 }
 
 func sharesResponse(id string, shares []float64) SharesResponse {
@@ -801,25 +820,12 @@ func sharesResponse(id string, shares []float64) SharesResponse {
 }
 
 func (s *Server) handleAllocation(w http.ResponseWriter, r *http.Request) {
-	alloc, err := s.sc.Allocation(r.Context())
+	v, err := s.allocation(r.Context())
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	resp := AllocationResponse{Jobs: make(map[string]SharesResponse, len(alloc))}
-	for id, shares := range alloc {
-		resp.Jobs[id] = sharesResponse(id, shares)
-	}
-	if v, ok := s.sc.(Versioned); ok {
-		// Read after the allocation: the version is at or after the map,
-		// so a reader polling for "version >= X" never sees stale data.
-		resp.Version = v.SnapshotVersion()
-	}
-	if pr, ok := s.sc.(PhaseReporter); ok {
-		resp.PhaseLag, resp.HotComponents = pr.PhaseInfo()
-	}
-	resp.Policy = s.sc.PolicyName()
-	writeJSON(w, http.StatusOK, resp)
+	s.writeAllocation(w, v)
 }
 
 func (s *Server) handleGetSnapshot(w http.ResponseWriter, _ *http.Request) {

@@ -270,8 +270,11 @@ func (r *Replica) syncOnce(cur wal.Cursor, version uint64) (wal.Cursor, uint64, 
 	}
 }
 
+// publish shares the scheduler's immutable rows with the view uncopied
+// (scheduler.Resolve), so rows a batch did not re-solve keep their
+// identity across views and the API's render memo reuses them.
 func (r *Replica) publish(version uint64, cur, head wal.Cursor) error {
-	alloc, err := r.sc.Allocation()
+	_, alloc, err := r.sc.Resolve()
 	if err != nil {
 		return fmt.Errorf("cluster: replica solve: %w", err)
 	}
